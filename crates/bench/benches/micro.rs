@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the hot primitives of the reproduction: the range
 //! coder and delta codec that bound memory-sync throughput, the crypto
-//! sealing every commit, page-table walks, the symbolic-value machinery,
-//! and end-to-end record/replay.
+//! sealing every commit, page-table walks, the protected-memory wipe and
+//! lane fork, the symbolic-value machinery, and end-to-end record/replay.
 //!
 //! The harness is hand-rolled over `std::time::Instant` (no criterion):
 //! the workspace must build and bench with zero network access, so no
@@ -12,7 +12,7 @@
 use grt_compress::{compress, decompress, DeltaCodec};
 use grt_crypto::{SecureChannel, Sha256};
 use grt_driver::{RegVal, SymSlot};
-use grt_gpu::mem::Memory;
+use grt_gpu::mem::{Accessor, Memory};
 use grt_gpu::mmu::{map_page, AccessKind, PteFlags, Walker};
 use grt_gpu::PAGE_SIZE;
 use std::time::Instant;
@@ -137,6 +137,27 @@ fn bench_mmu_walk() {
     });
 }
 
+/// Writes 512 pages (2 MiB, about a zoo replay's working set) spread at
+/// a 47-page stride over a 96 MiB carveout.
+fn touch_scattered(mem: &mut Memory) {
+    let page = [0xA5u8; PAGE_SIZE];
+    for i in 0..512u64 {
+        mem.write(i * 47 * PAGE_SIZE as u64, &page, Accessor::Cpu)
+            .unwrap();
+    }
+}
+
+fn bench_mem() {
+    let mut mem = Memory::new(96 << 20);
+    // A wipe clears the working set, so each iteration writes it again.
+    bench("mem/wipe_96MiB", 50, None, || {
+        touch_scattered(&mut mem);
+        mem.wipe();
+    });
+    touch_scattered(&mut mem);
+    bench("mem/clone_96MiB", 50, None, || mem.clone());
+}
+
 fn bench_symbolic() {
     bench("symbolic/regval_eval", 10_000, None, || {
         let slot = SymSlot::new(1);
@@ -186,6 +207,7 @@ fn main() {
     bench_delta_codec();
     bench_crypto();
     bench_mmu_walk();
+    bench_mem();
     bench_symbolic();
     bench_inference();
 }

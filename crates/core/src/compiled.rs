@@ -271,9 +271,10 @@ impl CompiledRecording {
     }
 }
 
-/// Upper bound on batched-replay width: each extra lane clones the
-/// device's memory image, so the bound keeps a hostile `RUN_BATCH` from
-/// driving unbounded allocation inside the TA.
+/// Upper bound on batched-replay width: each extra lane forks the pages
+/// of the device's memory image that staging touched, which a recording
+/// can make most of the carveout, so the bound keeps a hostile
+/// `RUN_BATCH` from driving unbounded allocation inside the TA.
 pub const MAX_BATCH: usize = 64;
 
 /// A rejected batch geometry (see [`CompiledRecording::batch_plan`]).

@@ -10,7 +10,7 @@
 
 use crate::compiled::{compile, CompileError, CompiledRecording, Op};
 use crate::gate::{GateContext, RecordingGate};
-use crate::recording::{irq_line_from, Event, Recording, SignedRecording};
+use crate::recording::{irq_line_from, DataSlot, Event, Recording, SignedRecording};
 use crate::session::ClientDevice;
 use grt_attest::{ReceiptCounters, ReplayReceipt};
 use grt_compress::DeltaCodec;
@@ -269,13 +269,8 @@ impl Replayer {
         input: &[f32],
         raw_output: &[u8],
     ) {
-        let input_bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.emit_receipt_digested(
-            workload,
-            recording_digest,
-            Sha256::digest(&input_bytes),
-            raw_output,
-        );
+        let input_digest = Sha256::digest(self.upload.stage(input));
+        self.emit_receipt_digested(workload, recording_digest, input_digest, raw_output);
     }
 
     /// Receipt emission core shared by scalar and batched replays: the
@@ -324,14 +319,53 @@ impl Replayer {
         })
     }
 
+    /// Checks that `weights` fills exactly the recorded weight slots.
+    fn check_weights<W: AsRef<[f32]>>(
+        slots: &[DataSlot],
+        weights: &[W],
+    ) -> Result<(), ReplayError> {
+        if weights.len() != slots.len()
+            || slots
+                .iter()
+                .zip(weights)
+                .any(|(slot, w)| w.as_ref().len() != slot.len_elems as usize)
+        {
+            return Err(ReplayError::BadInput);
+        }
+        Ok(())
+    }
+
+    /// Isolates and resets the GPU and scrubs protected memory (§3.2),
+    /// then injects the real parameters and input into the recorded slots.
+    fn lock_and_stage<W: AsRef<[f32]>>(
+        &mut self,
+        weight_slots: &[DataSlot],
+        weights: &[W],
+        input_slot: DataSlot,
+        input: &[f32],
+    ) {
+        self.tzasc.claim(
+            crate::client::GPU_MMIO_BASE,
+            crate::client::GPU_MMIO_LEN,
+            grt_tee::World::Secure,
+        );
+        self.device_gpu.borrow_mut().hard_reset_now();
+        let mut mem = self.device_mem.borrow_mut();
+        mem.wipe();
+        for (slot, w) in weight_slots.iter().zip(weights) {
+            mem.restore_range(slot.pa, self.upload.stage(w.as_ref()));
+        }
+        mem.restore_range(input_slot.pa, self.upload.stage(input));
+    }
+
     /// Replays a signed recording with fresh `input` and `weights`,
     /// returning the inference output and the replay delay (Table 2).
-    pub fn replay(
+    pub fn replay<W: AsRef<[f32]>>(
         &mut self,
         signed: &SignedRecording,
         key: &KeyPair,
         input: &[f32],
-        weights: &[Vec<f32>],
+        weights: &[W],
     ) -> Result<(Vec<f32>, SimTime), ReplayError> {
         let rec = signed
             .verify_and_parse(key)
@@ -344,37 +378,15 @@ impl Replayer {
             });
         }
         self.vet(&rec)?;
-        if input.len() != rec.input.len_elems as usize || weights.len() != rec.weights.len() {
+        if input.len() != rec.input.len_elems as usize {
             return Err(ReplayError::BadInput);
         }
-        for (slot, w) in rec.weights.iter().zip(weights) {
-            if w.len() != slot.len_elems as usize {
-                return Err(ReplayError::BadInput);
-            }
-        }
+        Self::check_weights(&rec.weights, weights)?;
 
         self.profile = ReplayProfile::default();
         let t0 = self.clock.now();
         let exec0 = self.device_gpu.borrow().exec_stats();
-        // TEE isolates and resets the GPU (§3.2).
-        self.tzasc.claim(
-            crate::client::GPU_MMIO_BASE,
-            crate::client::GPU_MMIO_LEN,
-            grt_tee::World::Secure,
-        );
-        self.device_gpu.borrow_mut().hard_reset_now();
-        self.device_mem.borrow_mut().wipe();
-
-        // Inject real parameters and input into the recorded slots.
-        {
-            let mut mem = self.device_mem.borrow_mut();
-            for (slot, w) in rec.weights.iter().zip(weights) {
-                let bytes: Vec<u8> = w.iter().flat_map(|v| v.to_le_bytes()).collect();
-                mem.restore_range(slot.pa, &bytes);
-            }
-            let bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-            mem.restore_range(rec.input.pa, &bytes);
-        }
+        self.lock_and_stage(&rec.weights, weights, rec.input, input);
 
         // Walk the log.
         for event in &rec.events {
@@ -545,11 +557,11 @@ impl Replayer {
     /// the warm path. Event-for-event equivalent to [`Replayer::replay`]
     /// on the recording the compiled form was lowered from, without
     /// re-parsing, re-verifying, or re-decompressing anything.
-    pub fn replay_compiled(
+    pub fn replay_compiled<W: AsRef<[f32]>>(
         &mut self,
         compiled: &CompiledRecording,
         input: &[f32],
-        weights: &[Vec<f32>],
+        weights: &[W],
     ) -> Result<(Vec<f32>, SimTime), ReplayError> {
         // Re-check the SKU: a compiled recording outlives device handoffs
         // in the serve registry, and the check is two loads.
@@ -560,36 +572,15 @@ impl Replayer {
                 present,
             });
         }
-        if input.len() != compiled.input.len_elems as usize
-            || weights.len() != compiled.weights.len()
-        {
+        if input.len() != compiled.input.len_elems as usize {
             return Err(ReplayError::BadInput);
         }
-        for (slot, w) in compiled.weights.iter().zip(weights) {
-            if w.len() != slot.len_elems as usize {
-                return Err(ReplayError::BadInput);
-            }
-        }
+        Self::check_weights(&compiled.weights, weights)?;
 
         self.profile = ReplayProfile::default();
         let t0 = self.clock.now();
         let exec0 = self.device_gpu.borrow().exec_stats();
-        self.tzasc.claim(
-            crate::client::GPU_MMIO_BASE,
-            crate::client::GPU_MMIO_LEN,
-            grt_tee::World::Secure,
-        );
-        self.device_gpu.borrow_mut().hard_reset_now();
-        self.device_mem.borrow_mut().wipe();
-        {
-            let mut mem = self.device_mem.borrow_mut();
-            for (slot, w) in compiled.weights.iter().zip(weights) {
-                let bytes: Vec<u8> = w.iter().flat_map(|v| v.to_le_bytes()).collect();
-                mem.restore_range(slot.pa, &bytes);
-            }
-            let bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-            mem.restore_range(compiled.input.pa, &bytes);
-        }
+        self.lock_and_stage(&compiled.weights, weights, compiled.input, input);
 
         self.device_gpu
             .borrow_mut()
@@ -622,11 +613,13 @@ impl Replayer {
     /// the batch-resident operand traffic across the batch.
     ///
     /// Lane 0 runs on the device's primary memory exactly as
-    /// [`Replayer::replay_compiled`] would; each extra input gets a full
-    /// memory lane cloned after restore with only the input slot rewritten,
-    /// so every lane's bytes evolve exactly as a scalar replay of that
-    /// input — batched outputs are bitwise identical to sequential ones,
-    /// property-tested across the zoo. With a single input this *is* the
+    /// [`Replayer::replay_compiled`] would; each extra input gets a memory
+    /// lane forked after restore with only the input slot rewritten. The
+    /// fork copies only the pages staging touched (the rest of protected
+    /// memory is zero by the wipe), so a lane costs its working set, not
+    /// the carveout. Every lane's bytes evolve exactly as a scalar replay
+    /// of that input — batched outputs are bitwise identical to sequential
+    /// ones, property-tested across the zoo. With a single input this *is* the
     /// scalar path: no lanes are attached and the emitted receipt is
     /// byte-identical to [`Replayer::replay_compiled`]'s.
     ///
@@ -635,11 +628,11 @@ impl Replayer {
     /// [`grt_attest::batch_input_digest`] and its output digest covers the
     /// lane outputs concatenated in lane order (verify with
     /// [`grt_attest::verify_batch_receipt_data`]).
-    pub fn replay_compiled_batch(
+    pub fn replay_compiled_batch<I: AsRef<[f32]>, W: AsRef<[f32]>>(
         &mut self,
         compiled: &CompiledRecording,
-        inputs: &[Vec<f32>],
-        weights: &[Vec<f32>],
+        inputs: &[I],
+        weights: &[W],
     ) -> Result<(Vec<Vec<f32>>, SimTime), ReplayError> {
         let plan = compiled
             .batch_plan(inputs.len())
@@ -651,47 +644,31 @@ impl Replayer {
                 present,
             });
         }
-        if weights.len() != compiled.weights.len() {
+        if inputs
+            .iter()
+            .any(|input| input.as_ref().len() != compiled.input.len_elems as usize)
+        {
             return Err(ReplayError::BadInput);
         }
-        for input in inputs {
-            if input.len() != compiled.input.len_elems as usize {
-                return Err(ReplayError::BadInput);
-            }
-        }
-        for (slot, w) in compiled.weights.iter().zip(weights) {
-            if w.len() != slot.len_elems as usize {
-                return Err(ReplayError::BadInput);
-            }
-        }
+        Self::check_weights(&compiled.weights, weights)?;
 
         self.profile = ReplayProfile::default();
         let t0 = self.clock.now();
         let exec0 = self.device_gpu.borrow().exec_stats();
-        self.tzasc.claim(
-            crate::client::GPU_MMIO_BASE,
-            crate::client::GPU_MMIO_LEN,
-            grt_tee::World::Secure,
+        self.lock_and_stage(
+            &compiled.weights,
+            weights,
+            compiled.input,
+            inputs[0].as_ref(),
         );
-        self.device_gpu.borrow_mut().hard_reset_now();
-        self.device_mem.borrow_mut().wipe();
-        {
-            let mut mem = self.device_mem.borrow_mut();
-            for (slot, w) in compiled.weights.iter().zip(weights) {
-                let bytes: Vec<u8> = w.iter().flat_map(|v| v.to_le_bytes()).collect();
-                mem.restore_range(slot.pa, &bytes);
-            }
-            let bytes: Vec<u8> = inputs[0].iter().flat_map(|v| v.to_le_bytes()).collect();
-            mem.restore_range(compiled.input.pa, &bytes);
-        }
-        // Lane images: clone the restored primary, then overwrite the
-        // input slot. The clone covers the whole address space — page
-        // tables, descriptors, weight pages — so lane b starts
-        // byte-identical to what `replay_compiled(inputs[b], ...)` would
-        // stage.
+        // Lane images: fork the restored primary, then overwrite the input
+        // slot. The fork copies every page staging touched — page tables,
+        // descriptors, weight pages — and the rest is zero on both sides,
+        // so lane b starts byte-identical to what
+        // `replay_compiled(inputs[b], ...)` would stage.
         for input in &inputs[1..] {
             let mut lane = self.device_mem.borrow().clone();
-            lane.restore_range(plan.input.pa, self.upload.stage(input));
+            lane.restore_range(plan.input.pa, self.upload.stage(input.as_ref()));
             self.batch_lanes
                 .push(Rc::new(std::cell::RefCell::new(lane)));
         }
@@ -732,10 +709,7 @@ impl Replayer {
         self.profile.total = self.clock.now() - t0;
         let input_digests: Vec<[u8; 32]> = inputs
             .iter()
-            .map(|input| {
-                let bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-                Sha256::digest(&bytes)
-            })
+            .map(|input| Sha256::digest(self.upload.stage(input.as_ref())))
             .collect();
         let concat: Vec<u8> = raws.concat();
         self.emit_receipt_digested(
@@ -870,12 +844,12 @@ impl Replayer {
     /// Verification, injection, and GPU lockdown happen here; drive the
     /// layers with [`LayeredReplay::replay_layer`] and collect the output
     /// with [`LayeredReplay::finish`].
-    pub fn begin_layered<'r>(
+    pub fn begin_layered<'r, W: AsRef<[f32]>>(
         &'r mut self,
         signed: &SignedRecording,
         key: &KeyPair,
         input: &[f32],
-        weights: &[Vec<f32>],
+        weights: &[W],
     ) -> Result<LayeredReplay<'r>, ReplayError> {
         let rec = signed
             .verify_and_parse(key)
@@ -888,31 +862,12 @@ impl Replayer {
             });
         }
         self.vet(&rec)?;
-        if input.len() != rec.input.len_elems as usize || weights.len() != rec.weights.len() {
+        if input.len() != rec.input.len_elems as usize {
             return Err(ReplayError::BadInput);
         }
-        for (slot, w) in rec.weights.iter().zip(weights) {
-            if w.len() != slot.len_elems as usize {
-                return Err(ReplayError::BadInput);
-            }
-        }
+        Self::check_weights(&rec.weights, weights)?;
         self.profile = ReplayProfile::default();
-        self.tzasc.claim(
-            crate::client::GPU_MMIO_BASE,
-            crate::client::GPU_MMIO_LEN,
-            grt_tee::World::Secure,
-        );
-        self.device_gpu.borrow_mut().hard_reset_now();
-        self.device_mem.borrow_mut().wipe();
-        {
-            let mut mem = self.device_mem.borrow_mut();
-            for (slot, w) in rec.weights.iter().zip(weights) {
-                let bytes: Vec<u8> = w.iter().flat_map(|v| v.to_le_bytes()).collect();
-                mem.restore_range(slot.pa, &bytes);
-            }
-            let bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-            mem.restore_range(rec.input.pa, &bytes);
-        }
+        self.lock_and_stage(&rec.weights, weights, rec.input, input);
         Ok(LayeredReplay {
             replayer: self,
             rec,

@@ -83,6 +83,14 @@ impl ReplayService {
         self.runs
     }
 
+    /// Borrows every staged weight tensor, or fails if a slot is unset.
+    fn staged(weights: &[Option<Vec<f32>>]) -> Result<Vec<&[f32]>, GpStatus> {
+        weights
+            .iter()
+            .map(|w| w.as_deref().ok_or(GpStatus::BadParameters))
+            .collect()
+    }
+
     fn parse_f32s(bytes: &[u8]) -> Result<Vec<f32>, GpStatus> {
         if !bytes.len().is_multiple_of(4) {
             return Err(GpStatus::BadParameters);
@@ -154,8 +162,7 @@ impl TeeModule for ReplayService {
             cmd::RUN => {
                 let compiled = self.compiled.clone().ok_or(GpStatus::BadParameters)?;
                 let input = self.input.as_ref().ok_or(GpStatus::BadParameters)?;
-                let weights: Option<Vec<Vec<f32>>> = self.weights.iter().cloned().collect();
-                let weights = weights.ok_or(GpStatus::BadParameters)?;
+                let weights = Self::staged(&self.weights)?;
                 let (out, _) = self
                     .replayer
                     .replay_compiled(&compiled, input, &weights)
@@ -170,8 +177,7 @@ impl TeeModule for ReplayService {
             }
             cmd::RUN_BATCH => {
                 let compiled = self.compiled.clone().ok_or(GpStatus::BadParameters)?;
-                let weights: Option<Vec<Vec<f32>>> = self.weights.iter().cloned().collect();
-                let weights = weights.ok_or(GpStatus::BadParameters)?;
+                let weights = Self::staged(&self.weights)?;
                 if input.len() < 4 {
                     return Err(GpStatus::BadParameters);
                 }
@@ -187,7 +193,7 @@ impl TeeModule for ReplayService {
                     return Err(GpStatus::BadParameters);
                 }
                 let all = Self::parse_f32s(&input[4..])?;
-                let inputs: Vec<Vec<f32>> = all.chunks_exact(elems).map(|c| c.to_vec()).collect();
+                let inputs: Vec<&[f32]> = all.chunks_exact(elems).collect();
                 let (outs, _) = self
                     .replayer
                     .replay_compiled_batch(&compiled, &inputs, &weights)

@@ -82,7 +82,6 @@ impl std::error::Error for MemFault {}
 /// mem.write_u32(0x100, 0xDEADBEEF, Accessor::Cpu).unwrap();
 /// assert_eq!(mem.read_u32(0x100, Accessor::Gpu).unwrap(), 0xDEADBEEF);
 /// ```
-#[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
     flags: Vec<PageFlags>,
@@ -102,6 +101,55 @@ pub struct Memory {
     /// [`Memory::clear_dirty`] on that page. Lets the memsync layer skip
     /// dumping and comparing regions nothing wrote to.
     dirty: Vec<u64>,
+    /// One bit per page, set by any mutation and cleared only by
+    /// [`Memory::wipe`]. Invariant: an untouched page is all zero, so
+    /// `wipe` and `clone` only visit the pages a replay actually wrote —
+    /// a few MiB of a 96 MiB carveout for a zoo network.
+    touched: Vec<u64>,
+}
+
+/// Byte ranges `[start, end)` of the maximal runs of set bits in a page
+/// bitmap of `pages` pages, in address order.
+fn page_runs(bits: &[u64], pages: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let is_set = |p: usize| bits[p / 64] & (1u64 << (p % 64)) != 0;
+    let mut page = 0;
+    std::iter::from_fn(move || {
+        while page < pages && !is_set(page) {
+            // Skip whole empty words: most of a carveout is untouched.
+            page = if bits[page / 64] == 0 {
+                (page / 64 + 1) * 64
+            } else {
+                page + 1
+            };
+        }
+        if page >= pages {
+            return None;
+        }
+        let first = page;
+        while page < pages && is_set(page) {
+            page += 1;
+        }
+        Some((first * PAGE_SIZE, page * PAGE_SIZE))
+    })
+}
+
+impl Clone for Memory {
+    /// Copies only the touched pages into a lazily zeroed buffer; the
+    /// untouched rest is zero on both sides by the `touched` invariant.
+    fn clone(&self) -> Self {
+        let mut bytes = vec![0; self.bytes.len()];
+        for (start, end) in page_runs(&self.touched, self.flags.len()) {
+            bytes[start..end].copy_from_slice(&self.bytes[start..end]);
+        }
+        Memory {
+            bytes,
+            flags: self.flags.clone(),
+            cpu_writes: self.cpu_writes.clone(),
+            cpu_writes_overflowed: self.cpu_writes_overflowed,
+            dirty: self.dirty.clone(),
+            touched: self.touched.clone(),
+        }
+    }
 }
 
 impl fmt::Debug for Memory {
@@ -123,6 +171,7 @@ impl Memory {
             cpu_writes: Vec::new(),
             cpu_writes_overflowed: false,
             dirty: vec![0; pages.div_ceil(64)],
+            touched: vec![0; pages.div_ceil(64)],
         }
     }
 
@@ -163,7 +212,9 @@ impl Memory {
         (std::mem::take(&mut self.cpu_writes), overflowed)
     }
 
-    /// Marks the pages overlapping `[start, end)` (byte offsets) dirty.
+    /// Marks the pages overlapping `[start, end)` (byte offsets) dirty and
+    /// touched. Every byte mutator calls this, which is what keeps the
+    /// "untouched ⇒ all zero" invariant behind [`Memory::wipe`].
     fn mark_dirty(&mut self, start: usize, end: usize) {
         if end <= start {
             return;
@@ -172,6 +223,7 @@ impl Memory {
         let last = ((end - 1) / PAGE_SIZE).min(self.flags.len().saturating_sub(1));
         for page in first..=last {
             self.dirty[page / 64] |= 1u64 << (page % 64);
+            self.touched[page / 64] |= 1u64 << (page % 64);
         }
     }
 
@@ -422,10 +474,14 @@ impl Memory {
 
     /// Zeroes all bytes and clears all trap flags (GPU reset / TEE cleanup).
     ///
-    /// Every page is marked dirty: the wipe changed (or may have changed)
-    /// its contents relative to any baseline taken before it.
+    /// Only touched pages are scrubbed; the rest are zero already. Every
+    /// page is marked dirty: the wipe changed (or may have changed) its
+    /// contents relative to any baseline taken before it.
     pub fn wipe(&mut self) {
-        self.bytes.fill(0);
+        for (start, end) in page_runs(&self.touched, self.flags.len()) {
+            self.bytes[start..end].fill(0);
+        }
+        self.touched.fill(0);
         self.flags.fill(PageFlags::default());
         self.dirty.fill(u64::MAX);
         self.cpu_writes.clear();
@@ -436,6 +492,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grt_sim::Rng;
 
     #[test]
     fn rounds_to_page_size() {
@@ -738,5 +795,171 @@ mod tests {
         m.wipe();
         assert_eq!(m.read_u32(0, Accessor::Cpu).unwrap(), 0);
         assert_eq!(m.page_flags(0), PageFlags::default());
+    }
+
+    /// Applies `steps` seeded random operations to `m`: every byte mutator
+    /// plus trap-flag changes, dirty-bit clears and log drains. Accesses
+    /// that fault are part of the mix — a failed access must not break
+    /// the `touched` invariant either.
+    fn random_ops(m: &mut Memory, rng: &mut Rng, steps: usize) {
+        let size = m.size() as u64;
+        for _ in 0..steps {
+            let pa = rng.gen_range(size);
+            let len = rng.gen_range(3 * PAGE_SIZE as u64) as usize + 1;
+            let acc = if rng.chance(0.5) {
+                Accessor::Cpu
+            } else {
+                Accessor::Gpu
+            };
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            match rng.gen_range(9) {
+                0 => {
+                    let _ = m.write(pa, &data, acc);
+                }
+                1 => {
+                    let vals: Vec<f32> = data
+                        .chunks_exact(4)
+                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                        .collect();
+                    let _ = m.write_bulk(pa, &vals, acc);
+                }
+                2 => {
+                    let _ = m.copy_within(rng.gen_range(size), pa, len, acc);
+                }
+                3 => m.restore_range(pa, &data),
+                4 => m.xor_range(pa, &data),
+                5 => m.set_page_flags(
+                    pa,
+                    len,
+                    PageFlags {
+                        cpu_unmapped: rng.chance(0.2),
+                        gpu_unmapped: rng.chance(0.2),
+                    },
+                ),
+                6 => m.clear_dirty(pa, len),
+                7 => {
+                    let _ = m.take_cpu_writes();
+                }
+                _ => {
+                    let _ = m.write_u32(pa, rng.next_u32(), acc);
+                }
+            }
+        }
+    }
+
+    /// Everything observable about `a` equals `b`: bytes, per-page flags,
+    /// dirty bits and the drained CPU-write log (drained on both).
+    fn assert_same(a: &mut Memory, b: &mut Memory, what: &str) {
+        assert_eq!(a.size(), b.size(), "{what}: size");
+        assert!(
+            a.dump_range(0, a.size()) == b.dump_range(0, b.size()),
+            "{what}: bytes differ"
+        );
+        for page in 0..a.num_pages() {
+            let pa = (page * PAGE_SIZE) as u64;
+            assert_eq!(a.page_flags(pa), b.page_flags(pa), "{what}: flags");
+            assert_eq!(a.any_dirty(pa, 1), b.any_dirty(pa, 1), "{what}: dirty");
+        }
+        assert_eq!(
+            a.count_dirty_pages(0, a.size()),
+            b.count_dirty_pages(0, b.size()),
+            "{what}: dirty count"
+        );
+        assert_eq!(a.take_cpu_writes(), b.take_cpu_writes(), "{what}: log");
+    }
+
+    /// Sizes that leave a partial last bitmap word and cross word edges.
+    const FUZZ_PAGES: [usize; 3] = [1, 37, 130];
+
+    #[test]
+    fn sparse_clone_equals_source_under_random_mutation() {
+        for (i, pages) in FUZZ_PAGES.into_iter().enumerate() {
+            for seed in 0..8u64 {
+                let mut rng = Rng::new(0xC10E ^ (i as u64) << 8 ^ seed);
+                let mut m = Memory::new(pages * PAGE_SIZE);
+                random_ops(&mut m, &mut rng, 60);
+                let mut c = m.clone();
+                assert_same(&mut m, &mut c, "clone");
+                // The clone carries the touched bits too: the same further
+                // mutations and a wipe keep the two indistinguishable.
+                let mut c = m.clone();
+                let mut replay = rng.fork();
+                let mut same = replay.clone();
+                random_ops(&mut m, &mut replay, 30);
+                random_ops(&mut c, &mut same, 30);
+                m.wipe();
+                c.wipe();
+                assert_same(&mut m, &mut c, "clone after wipe");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_wipe_is_indistinguishable_from_fresh_memory() {
+        for (i, pages) in FUZZ_PAGES.into_iter().enumerate() {
+            for seed in 0..8u64 {
+                let mut rng = Rng::new(0x5C2B ^ (i as u64) << 8 ^ seed);
+                let size = pages * PAGE_SIZE;
+                let mut m = Memory::new(size);
+                random_ops(&mut m, &mut rng, 60);
+                m.wipe();
+                assert!(
+                    m.dump_range(0, size).iter().all(|&b| b == 0),
+                    "wipe left bytes behind"
+                );
+                assert_eq!(m.count_dirty_pages(0, size), pages, "wipe dirties all");
+                assert_eq!(m.take_cpu_writes(), (Vec::new(), true), "wipe overflows");
+                // Past those two marks, a wiped memory is a fresh one: the
+                // same mutations and a second wipe leave them equal.
+                let mut fresh = Memory::new(size);
+                fresh.wipe();
+                let mut ops = rng.fork();
+                let mut same = ops.clone();
+                random_ops(&mut m, &mut ops, 60);
+                random_ops(&mut fresh, &mut same, 60);
+                assert_same(&mut m, &mut fresh, "after wipe");
+                m.wipe();
+                fresh.wipe();
+                assert_same(&mut m, &mut fresh, "second wipe");
+            }
+        }
+    }
+
+    /// Runs `mutate` against page 2 of a memory whose only other touched
+    /// page is page 0, then checks that a wipe zeroes every byte.
+    fn assert_wipe_scrubs(mutate: impl FnOnce(&mut Memory, u64)) {
+        let mut m = Memory::new(4 * PAGE_SIZE);
+        m.write(0, &[0x5A; 64], Accessor::Cpu).unwrap();
+        let dst = 2 * PAGE_SIZE as u64 + 100;
+        mutate(&mut m, dst);
+        assert!(m.dump_range(dst, 16).iter().any(|&b| b != 0), "no write");
+        m.wipe();
+        assert!(m.dump_range(0, m.size()).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn wipe_scrubs_page_touched_by_write() {
+        assert_wipe_scrubs(|m, pa| m.write(pa, &[0xAB; 16], Accessor::Gpu).unwrap());
+    }
+
+    #[test]
+    fn wipe_scrubs_page_touched_by_write_bulk() {
+        assert_wipe_scrubs(|m, pa| m.write_bulk(pa, &[1.5; 4], Accessor::Gpu).unwrap());
+    }
+
+    #[test]
+    fn wipe_scrubs_page_touched_by_copy_within() {
+        assert_wipe_scrubs(|m, pa| m.copy_within(0, pa, 64, Accessor::Gpu).unwrap());
+    }
+
+    #[test]
+    fn wipe_scrubs_page_touched_by_restore_range() {
+        assert_wipe_scrubs(|m, pa| m.restore_range(pa, &[0xCD; 16]));
+    }
+
+    #[test]
+    fn wipe_scrubs_page_touched_by_xor_range() {
+        assert_wipe_scrubs(|m, pa| m.xor_range(pa, &[0xEF; 16]));
     }
 }

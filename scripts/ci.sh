@@ -25,6 +25,11 @@ cargo test -q
 echo "==> workspace unit tests: cargo test -q --workspace --lib"
 cargo test -q --workspace --lib
 
+# The two-clock benchmark is a package of its own (empty [workspace]), so
+# neither tier-1 nor --workspace reaches its unit tests.
+echo "==> benchmark package unit tests"
+cargo test -q --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "==> doc build: RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

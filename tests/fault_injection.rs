@@ -402,6 +402,6 @@ fn replayer_survives_arbitrary_signed_recordings() {
         let signed = SignedRecording::sign(&rec, &key);
         let mut replayer = Replayer::new(&device, std::rc::Rc::new(grt_core::gate::PermissiveGate));
         // Must terminate with Ok or a clean error; panics/hangs fail the test.
-        let _ = replayer.replay(&signed, &key, &[0.0; 4], &[]);
+        let _ = replayer.replay::<Vec<f32>>(&signed, &key, &[0.0; 4], &[]);
     }
 }
