@@ -243,149 +243,48 @@ impl CompiledRecording {
         &self.kept
     }
 
+    /// The ops the warm walk executes: the kept ranges, in order. The gaps
+    /// between ranges are the dialog windows of fused tails and elided
+    /// identity copies; their polls, interrupt waits, and MMU flushes are
+    /// never issued, which is where the fusion speedup comes from (the
+    /// fused work itself runs inside the head's job via
+    /// [`CompiledRecording::fusion_plan`]).
+    pub fn kept_ops(&self) -> impl Iterator<Item = &Op> {
+        self.kept
+            .iter()
+            .flat_map(|&(s, e)| &self.ops[s as usize..e as usize])
+    }
+
     /// Roll-up of what fusion removed from the warm path.
     pub fn fusion_summary(&self) -> FusionSummary {
         self.fusion_summary
     }
-
-    /// Derives the batch execution plan for a `batch`-way replay
-    /// (DESIGN.md §14): one pass over the op arena serving `batch` inputs,
-    /// with `batch - 1` extra memory lanes whose data pages carry the
-    /// non-primary inputs. Validation happens here so the batched executor
-    /// can treat the plan as well-formed by construction.
-    pub fn batch_plan(&self, batch: usize) -> Result<BatchPlan, BatchPlanError> {
-        if batch == 0 {
-            return Err(BatchPlanError::EmptyBatch);
-        }
-        if batch > MAX_BATCH {
-            return Err(BatchPlanError::BatchTooLarge {
-                batch,
-                max: MAX_BATCH,
-            });
-        }
-        Ok(BatchPlan {
-            batch,
-            input: self.input,
-            output: self.output,
-        })
-    }
 }
 
-/// Upper bound on batched-replay width: each extra lane forks the pages
-/// of the device's memory image that staging touched, which a recording
-/// can make most of the carveout, so the bound keeps a hostile
-/// `RUN_BATCH` from driving unbounded allocation inside the TA.
+/// Upper bound on batched-replay width, checked by
+/// [`crate::replay::Replayer::replay_compiled_batch`] and the `RUN_BATCH`
+/// command. Each extra lane forks the pages of the device's memory image
+/// that staging touched, which a recording can make most of the carveout,
+/// so the bound keeps a hostile `RUN_BATCH` from driving unbounded
+/// allocation inside the TA.
 pub const MAX_BATCH: usize = 64;
 
-/// A rejected batch geometry (see [`CompiledRecording::batch_plan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPlanError {
-    /// A batch must carry at least one input.
-    EmptyBatch,
-    /// The requested width exceeds [`MAX_BATCH`].
-    BatchTooLarge {
-        /// Requested width.
-        batch: usize,
-        /// The enforced bound.
-        max: usize,
-    },
-}
-
-impl std::fmt::Display for BatchPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchPlanError::EmptyBatch => write!(f, "empty batch"),
-            BatchPlanError::BatchTooLarge { batch, max } => {
-                write!(f, "batch {batch} exceeds the bound of {max}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BatchPlanError {}
-
-/// The execution plan for one batched replay: `batch` inputs staged into
-/// per-lane copies of [`BatchPlan::input`], one op-arena pass, `batch`
-/// output regions committed from per-lane copies of [`BatchPlan::output`].
+/// Lowers an already-lifted recording into its compiled form, consuming
+/// the IR's parsed deltas so the wire format is walked exactly once
+/// end-to-end.
 ///
-/// Lane 0 is the device's primary memory; lanes `1..batch` are full memory
-/// images cloned after reset/wipe/weight/input restore with the input slot
-/// overwritten, so each lane starts byte-identical to the memory a scalar
-/// replay of that input would see — the basis for the bitwise-equality
-/// oracle against sequential replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPlan {
-    /// Number of inputs served by the single arena pass (≥ 1).
-    pub batch: usize,
-    /// The recording's input slot; every lane stages its image here.
-    pub input: DataSlot,
-    /// The recording's output slot; every lane's region is committed.
-    pub output: DataSlot,
-}
-
-impl BatchPlan {
-    /// Number of extra memory lanes beyond the primary (`batch - 1`).
-    pub fn extra_lanes(&self) -> usize {
-        self.batch - 1
-    }
-
-    /// Bytes of input staged per lane.
-    pub fn input_bytes(&self) -> usize {
-        self.input.len_elems as usize * 4
-    }
-
-    /// Bytes of output committed per lane.
-    pub fn output_bytes(&self) -> usize {
-        self.output.len_elems as usize * 4
-    }
-}
-
-/// Lowers a parsed recording into its compiled form.
-///
-/// `poll_iter_cap` is the replayer's hard spin bound (its
-/// `REPLAY_POLL_ITER_CAP`); budgets are clamped to it at compile time so
-/// the executor's loop bound is a plain field read.
+/// `ir` must be the lift of `rec` (same event stream); steps are
+/// index-aligned with the recording's events. `poll_iter_cap` is the
+/// replayer's hard spin bound (its `REPLAY_POLL_ITER_CAP`); budgets are
+/// clamped to it here so the executor's loop bound is a plain field read.
 ///
 /// # Errors
 ///
 /// [`CompileError`] on exactly the encoding-level conditions the
 /// interpreted path would reject at run time: unknown poll condition
 /// codes, zero iteration budgets, out-of-range IRQ line bytes, and deltas
-/// that fail [`grt_compress::DeltaCodec::parse_limited`] against the
-/// region length the
-/// event claims.
-pub fn compile(
-    rec: &Recording,
-    page_size: usize,
-    poll_iter_cap: u32,
-) -> Result<CompiledRecording, CompileError> {
-    let quirk = grt_gpu::GpuSku::by_gpu_id(rec.gpu_id)
-        .map(|s| s.pte_quirk)
-        .unwrap_or(0);
-    let ir = grt_ir::lift(&crate::ir::lift_input(rec), quirk, page_size);
-    compile_from_ir(rec, ir, poll_iter_cap)
-}
-
-/// [`compile`] with superinstruction fusion disabled — the event-for-event
-/// PR-9 lowering. The unfused oracle for fusion property tests and the
-/// baseline side of the fused-speedup bench comparison.
-pub fn compile_unfused(
-    rec: &Recording,
-    page_size: usize,
-    poll_iter_cap: u32,
-) -> Result<CompiledRecording, CompileError> {
-    let quirk = grt_gpu::GpuSku::by_gpu_id(rec.gpu_id)
-        .map(|s| s.pte_quirk)
-        .unwrap_or(0);
-    let ir = grt_ir::lift(&crate::ir::lift_input(rec), quirk, page_size);
-    compile_from_ir_opts(rec, ir, poll_iter_cap, false)
-}
-
-/// Lowers an already-lifted recording, consuming the IR's parsed deltas
-/// so the wire format is walked exactly once end-to-end.
-///
-/// `ir` must be the lift of `rec` (same event stream); steps are
-/// index-aligned with the recording's events.
+/// that failed [`grt_compress::DeltaCodec::parse_limited`] in the lift
+/// against the region length the event claims.
 pub fn compile_from_ir(
     rec: &Recording,
     ir: IrProgram,
@@ -395,8 +294,8 @@ pub fn compile_from_ir(
 }
 
 /// [`compile_from_ir`] with superinstruction fusion selectable; `fuse:
-/// false` produces the PR-9 lowering (full arena, no directives), used by
-/// tests and benches as the unfused baseline.
+/// false` produces the event-for-event lowering (full arena, no
+/// directives), used by tests and benches as the unfused baseline.
 pub fn compile_from_ir_opts(
     rec: &Recording,
     mut ir: IrProgram,
@@ -502,8 +401,10 @@ pub fn compile_from_ir_opts(
     }
     // Lower the analysis's elided windows to kept op ranges. The pass
     // guarantees the windows are sorted, disjoint, in bounds, and free of
-    // deltas; anything else would change replay semantics, so a violation
-    // here drops fusion entirely rather than trusting the plan.
+    // deltas and layer markers (they are pure kbase register dialogs);
+    // anything else would change replay semantics or hide a layer from
+    // layered replay, so a violation here drops fusion entirely rather
+    // than trusting the plan.
     let mut kept: Vec<(u32, u32)> = Vec::new();
     let mut cursor = 0usize;
     let mut sound = true;
@@ -514,7 +415,7 @@ pub fn compile_from_ir_opts(
         }
         if ops[s..e]
             .iter()
-            .any(|op| matches!(op, Op::LoadDelta { .. }))
+            .any(|op| matches!(op, Op::LoadDelta { .. } | Op::BeginLayer { .. }))
         {
             sound = false;
             break;
@@ -555,6 +456,11 @@ mod tests {
     use super::*;
     use crate::recording::Event;
 
+    /// Lifts and lowers `rec` under quirk 0 with a 10 000-iteration cap.
+    fn compile(rec: &Recording) -> Result<CompiledRecording, CompileError> {
+        compile_from_ir(rec, crate::ir::lift_recording(rec, 0), 10_000)
+    }
+
     fn base_recording(events: Vec<Event>) -> Recording {
         Recording {
             workload: "t".into(),
@@ -589,7 +495,7 @@ mod tests {
                 verify: false,
             },
         ]);
-        let c = compile(&rec, 4096, 10_000).unwrap();
+        let c = compile(&rec).unwrap();
         assert_eq!(c.reg_count(), 2);
         assert_eq!(c.num_events(), 3);
         let (Op::RegWrite { reg: a, .. }, Op::RegRead { reg: b, .. }) = (&c.ops()[0], &c.ops()[2])
@@ -611,7 +517,7 @@ mod tests {
             delay_us: 1,
         }]);
         assert_eq!(
-            compile(&rec, 4096, 10_000).unwrap_err(),
+            compile(&rec).unwrap_err(),
             CompileError::MalformedEvent {
                 field: "poll.cond",
                 value: 7
@@ -630,7 +536,7 @@ mod tests {
             delay_us: 1,
         }]);
         assert!(matches!(
-            compile(&rec, 4096, 10_000),
+            compile(&rec),
             Err(CompileError::MalformedEvent {
                 field: "poll.max_iters",
                 ..
@@ -642,7 +548,7 @@ mod tests {
     fn bad_irq_line_rejected_at_compile_time() {
         let rec = base_recording(vec![Event::WaitIrq { line: 9 }]);
         assert_eq!(
-            compile(&rec, 4096, 10_000).unwrap_err(),
+            compile(&rec).unwrap_err(),
             CompileError::MalformedEvent {
                 field: "wait_irq.line",
                 value: 9
@@ -658,7 +564,7 @@ mod tests {
             delta: vec![1, 2, 3],
         }]);
         assert_eq!(
-            compile(&rec, 4096, 10_000).unwrap_err(),
+            compile(&rec).unwrap_err(),
             CompileError::CorruptDelta { event_index: 0 }
         );
     }
@@ -673,7 +579,7 @@ mod tests {
             max_iters: u32::MAX,
             delay_us: 1,
         }]);
-        let c = compile(&rec, 4096, 10_000).unwrap();
+        let c = compile(&rec).unwrap();
         let Op::Poll { max_iters, .. } = &c.ops()[0] else {
             panic!();
         };

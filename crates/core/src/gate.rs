@@ -5,12 +5,19 @@
 //! *produced* a recording is untrusted, so everything rides on what the TEE
 //! can check about the recording itself before touching the GPU. This
 //! module defines the interface for that check; the `grt-lint` crate
-//! provides the real implementation (rules R1–R6, see DESIGN.md
+//! provides the real implementation (rules R1–R9, see DESIGN.md
 //! "Recording verification"). Keeping only the trait here avoids a
-//! dependency cycle — lint needs `Recording`, core needs a gate.
+//! dependency cycle — lint needs core's recording types, core needs a
+//! gate.
+//!
+//! A gate judges the recording's semantics-IR lift, not its bytes: the
+//! replayer lifts a verified recording once, and that same
+//! [`IrProgram`] is what the gate vets and what
+//! [`crate::compiled::compile_from_ir`] lowers, so the vetted program
+//! and the replayed program are one decode.
 
-use crate::recording::Recording;
 use grt_gpu::GpuSku;
+use grt_ir::IrProgram;
 
 /// Replay-environment facts a gate needs to judge a recording.
 #[derive(Debug, Clone, Copy)]
@@ -28,7 +35,7 @@ pub struct GateContext<'a> {
 /// Why a gate refused a recording.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rejection {
-    /// Stable rule identifier (for the lint gate, "R1".."R6").
+    /// Stable rule identifier (for the lint gate, "R1".."R9").
     pub rule: String,
     /// Offending event index, if the finding is event-anchored.
     pub event: Option<usize>,
@@ -47,9 +54,10 @@ impl core::fmt::Display for Rejection {
 
 /// An ahead-of-replay recording analyzer.
 pub trait RecordingGate {
-    /// Judges `rec` for replay under `ctx`. `Ok(())` means every safety
-    /// rule passed; `Err` carries the first violated rule.
-    fn vet(&self, rec: &Recording, ctx: &GateContext<'_>) -> Result<(), Rejection>;
+    /// Judges the lifted recording `ir` for replay under `ctx`. The lift
+    /// used `ctx.sku`'s PTE quirk. `Ok(())` means every safety rule
+    /// passed; `Err` carries the first violated rule.
+    fn vet(&self, ir: &IrProgram, ctx: &GateContext<'_>) -> Result<(), Rejection>;
 }
 
 /// A gate that accepts everything.
@@ -62,7 +70,7 @@ pub trait RecordingGate {
 pub struct PermissiveGate;
 
 impl RecordingGate for PermissiveGate {
-    fn vet(&self, _rec: &Recording, _ctx: &GateContext<'_>) -> Result<(), Rejection> {
+    fn vet(&self, _ir: &IrProgram, _ctx: &GateContext<'_>) -> Result<(), Rejection> {
         Ok(())
     }
 }

@@ -10,7 +10,7 @@
 //! both consume the same decode of the same bytes.
 
 use crate::recording::{Event, Recording};
-use grt_gpu::{GpuSku, PAGE_SIZE};
+use grt_gpu::PAGE_SIZE;
 use grt_ir::program::SlotDesc;
 use grt_ir::{EventView, IrProgram, LiftInput};
 
@@ -69,15 +69,6 @@ pub fn lift_input(rec: &Recording) -> LiftInput<'_> {
 /// vetted for — page-table walks must match that GPU's decoder).
 pub fn lift_recording(rec: &Recording, quirk: u8) -> IrProgram {
     grt_ir::lift(&lift_input(rec), quirk, PAGE_SIZE)
-}
-
-/// Lifts a recording under the quirk of the SKU its header names, falling
-/// back to quirk 0 for an unknown GPU identity.
-pub fn lift_recording_for_gpu(rec: &Recording) -> IrProgram {
-    let quirk = GpuSku::by_gpu_id(rec.gpu_id)
-        .map(|s| s.pte_quirk)
-        .unwrap_or(0);
-    lift_recording(rec, quirk)
 }
 
 #[cfg(test)]

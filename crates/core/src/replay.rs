@@ -8,17 +8,19 @@
 //! deltas rebuild the metastate. Before and after a replay the GPU is
 //! reset and the TZASC holds it in the secure world.
 
-use crate::compiled::{compile, CompileError, CompiledRecording, Op};
+use crate::compiled::{compile_from_ir, CompileError, CompiledRecording, Op, MAX_BATCH};
 use crate::gate::{GateContext, RecordingGate};
 use crate::recording::{irq_line_from, DataSlot, Event, Recording, SignedRecording};
 use crate::session::ClientDevice;
 use grt_attest::{ReceiptCounters, ReplayReceipt};
 use grt_compress::DeltaCodec;
 use grt_crypto::{KeyPair, Sha256};
-use grt_driver::{PollCond, RegionTable};
+use grt_driver::PollCond;
+use grt_ir::IrProgram;
 use grt_ml::reference::{biases_for_layer, weights_for_layer};
 use grt_ml::NetworkSpec;
 use grt_sim::SimTime;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Per-event replayer overhead on the interpreted path (wire-format event
@@ -182,18 +184,10 @@ pub fn workload_weights(spec: &NetworkSpec) -> Vec<Vec<f32>> {
     out
 }
 
-/// Looks up a GPU VA's physical address in the driver's region table.
-pub fn region_pa(regions: &RegionTable, va: u64) -> u64 {
-    regions
-        .find_va(va)
-        .and_then(|r| r.va_to_pa(va))
-        .expect("compiled VA is always mapped")
-}
-
 /// The replayer, bound to a client device and a recording gate.
 pub struct Replayer {
-    device_gpu: Rc<std::cell::RefCell<grt_gpu::Gpu>>,
-    device_mem: Rc<std::cell::RefCell<grt_gpu::Memory>>,
+    device_gpu: Rc<RefCell<grt_gpu::Gpu>>,
+    device_mem: Rc<RefCell<grt_gpu::Memory>>,
     clock: Rc<grt_sim::Clock>,
     tzasc: Rc<grt_tee::Tzasc>,
     codec: DeltaCodec,
@@ -205,11 +199,6 @@ pub struct Replayer {
     provenance_digest: Option<[u8; 32]>,
     /// Receipt of the most recent successful replay.
     last_receipt: Option<ReplayReceipt>,
-    /// Extra memory lanes of an in-flight batched replay (DESIGN.md §14):
-    /// the same images attached to the GPU via `set_batch_lanes`, held
-    /// here so metastate deltas ([`Op::LoadDelta`]) apply to every lane.
-    /// Empty outside [`Replayer::replay_compiled_batch`].
-    batch_lanes: Vec<Rc<std::cell::RefCell<grt_gpu::Memory>>>,
     /// Reused f32 → wire staging buffer for batch input lanes.
     upload: grt_runtime::UploadScratch,
 }
@@ -233,7 +222,6 @@ impl Replayer {
             profile: ReplayProfile::default(),
             provenance_digest: None,
             last_receipt: None,
-            batch_lanes: Vec::new(),
             upload: grt_runtime::UploadScratch::default(),
         }
     }
@@ -261,21 +249,9 @@ impl Replayer {
     }
 
     /// Builds and signs the receipt for the replay that just completed;
-    /// the profile must be fully populated before this runs.
+    /// the profile must be fully populated before this runs. The caller
+    /// supplies the (possibly batch-committed) input digest.
     fn emit_receipt(
-        &mut self,
-        workload: &str,
-        recording_digest: [u8; 32],
-        input: &[f32],
-        raw_output: &[u8],
-    ) {
-        let input_digest = Sha256::digest(self.upload.stage(input));
-        self.emit_receipt_digested(workload, recording_digest, input_digest, raw_output);
-    }
-
-    /// Receipt emission core shared by scalar and batched replays: the
-    /// caller supplies the (possibly batch-committed) input digest.
-    fn emit_receipt_digested(
         &mut self,
         workload: &str,
         recording_digest: [u8; 32],
@@ -303,20 +279,41 @@ impl Replayer {
         ));
     }
 
-    /// Runs the recording through the gate; the whole-recording static
-    /// analysis the runtime checks then only have to complement.
-    fn vet(&self, rec: &Recording) -> Result<(), ReplayError> {
+    /// The load-time trust pipeline, in order: signature, SKU match, one
+    /// lift to the semantics IR under the present GPU's PTE quirk, and the
+    /// gate's whole-recording static analysis over that lift (which the
+    /// runtime checks then only have to complement). Returns the parsed
+    /// recording with the vetted lift, so a compile lowers exactly the IR
+    /// the gate saw.
+    fn load(
+        &self,
+        signed: &SignedRecording,
+        key: &KeyPair,
+    ) -> Result<(Recording, IrProgram), ReplayError> {
+        let rec = signed
+            .verify_and_parse(key)
+            .ok_or(ReplayError::BadRecording)?;
         let sku = self.device_gpu.borrow().sku().clone();
+        if rec.gpu_id != sku.gpu_id {
+            return Err(ReplayError::WrongSku {
+                recorded: rec.gpu_id,
+                present: sku.gpu_id,
+            });
+        }
+        let ir = crate::ir::lift_recording(&rec, sku.pte_quirk);
         let ctx = GateContext {
             sku: &sku,
             carveout_base: 0,
             carveout_len: self.device_mem.borrow().size() as u64,
             poll_iter_cap: REPLAY_POLL_ITER_CAP,
         };
-        self.gate.vet(rec, &ctx).map_err(|r| ReplayError::Rejected {
-            rule: r.rule,
-            message: r.message,
-        })
+        self.gate
+            .vet(&ir, &ctx)
+            .map_err(|r| ReplayError::Rejected {
+                rule: r.rule,
+                message: r.message,
+            })?;
+        Ok((rec, ir))
     }
 
     /// Checks that `weights` fills exactly the recorded weight slots.
@@ -367,17 +364,7 @@ impl Replayer {
         input: &[f32],
         weights: &[W],
     ) -> Result<(Vec<f32>, SimTime), ReplayError> {
-        let rec = signed
-            .verify_and_parse(key)
-            .ok_or(ReplayError::BadRecording)?;
-        let present = self.device_gpu.borrow().sku().gpu_id;
-        if rec.gpu_id != present {
-            return Err(ReplayError::WrongSku {
-                recorded: rec.gpu_id,
-                present,
-            });
-        }
-        self.vet(&rec)?;
+        let (rec, _) = self.load(signed, key)?;
         if input.len() != rec.input.len_elems as usize {
             return Err(ReplayError::BadInput);
         }
@@ -401,15 +388,17 @@ impl Replayer {
             .device_mem
             .borrow()
             .dump_range(rec.output.pa, rec.output.len_elems as usize * 4);
-        let out: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
         self.cleanup();
         self.profile.exec = self.device_gpu.borrow().exec_stats().delta_since(&exec0);
         self.profile.total = self.clock.now() - t0;
-        self.emit_receipt(&rec.workload, Sha256::digest(&signed.bytes), input, &raw);
-        Ok((out, self.profile.total))
+        let input_digest = Sha256::digest(self.upload.stage(input));
+        self.emit_receipt(
+            &rec.workload,
+            Sha256::digest(&signed.bytes),
+            input_digest,
+            &raw,
+        );
+        Ok((f32s(&raw), self.profile.total))
     }
 
     /// Executes one recorded event against the hardware.
@@ -512,38 +501,26 @@ impl Replayer {
 
     /// Verifies, vets, and lowers a signed recording into its compiled
     /// form (DESIGN.md §9). The full load-time pipeline — signature check,
-    /// SKU match, gate analysis, event validation, delta decompression —
-    /// runs exactly once here; every subsequent
+    /// SKU match, one lift, gate analysis, event validation, delta
+    /// decompression — runs exactly once here; every subsequent
     /// [`Replayer::replay_compiled`] call skips all of it.
     ///
     /// The returned [`CompiledRecording`] inherits the recording's trust:
-    /// it can only be produced from a signature-verified, gate-vetted
-    /// recording, so the `grt-lint` R1–R6 verdict carries over to every
-    /// compiled replay.
+    /// it is lowered from the very IR the gate vetted, so the `grt-lint`
+    /// R1–R9 verdict carries over to every compiled replay.
     pub fn compile_signed(
         &mut self,
         signed: &SignedRecording,
         key: &KeyPair,
     ) -> Result<CompiledRecording, ReplayError> {
-        let rec = signed
-            .verify_and_parse(key)
-            .ok_or(ReplayError::BadRecording)?;
-        let present = self.device_gpu.borrow().sku().gpu_id;
-        if rec.gpu_id != present {
-            return Err(ReplayError::WrongSku {
-                recorded: rec.gpu_id,
-                present,
-            });
-        }
-        self.vet(&rec)?;
-        let compiled =
-            compile(&rec, grt_gpu::PAGE_SIZE, REPLAY_POLL_ITER_CAP).map_err(|e| match e {
-                CompileError::MalformedEvent { field, value } => {
-                    ReplayError::MalformedEvent { field, value }
-                }
-                CompileError::CorruptDelta { .. } => ReplayError::CorruptDelta,
-                CompileError::TooManyRegisters => ReplayError::BadRecording,
-            })?;
+        let (rec, ir) = self.load(signed, key)?;
+        let compiled = compile_from_ir(&rec, ir, REPLAY_POLL_ITER_CAP).map_err(|e| match e {
+            CompileError::MalformedEvent { field, value } => {
+                ReplayError::MalformedEvent { field, value }
+            }
+            CompileError::CorruptDelta { .. } => ReplayError::CorruptDelta,
+            CompileError::TooManyRegisters => ReplayError::BadRecording,
+        })?;
         // One-time lowering cost: per-event validation plus decompressing
         // every delta's wire format (the work warm replays no longer do).
         self.clock.advance(
@@ -554,89 +531,116 @@ impl Replayer {
     }
 
     /// Replays a compiled recording with fresh `input` and `weights` —
-    /// the warm path. Event-for-event equivalent to [`Replayer::replay`]
-    /// on the recording the compiled form was lowered from, without
-    /// re-parsing, re-verifying, or re-decompressing anything.
+    /// the warm path: a one-lane [`Replayer::replay_compiled_batch`].
+    /// Event-for-event equivalent to [`Replayer::replay`] on the recording
+    /// the compiled form was lowered from, without re-parsing,
+    /// re-verifying, or re-decompressing anything.
     pub fn replay_compiled<W: AsRef<[f32]>>(
         &mut self,
         compiled: &CompiledRecording,
         input: &[f32],
         weights: &[W],
     ) -> Result<(Vec<f32>, SimTime), ReplayError> {
-        // Re-check the SKU: a compiled recording outlives device handoffs
-        // in the serve registry, and the check is two loads.
-        let present = self.device_gpu.borrow().sku().gpu_id;
-        if compiled.gpu_id != present {
-            return Err(ReplayError::WrongSku {
-                recorded: compiled.gpu_id,
-                present,
-            });
-        }
-        if input.len() != compiled.input.len_elems as usize {
-            return Err(ReplayError::BadInput);
-        }
-        Self::check_weights(&compiled.weights, weights)?;
-
-        self.profile = ReplayProfile::default();
-        let t0 = self.clock.now();
-        let exec0 = self.device_gpu.borrow().exec_stats();
-        self.lock_and_stage(&compiled.weights, weights, compiled.input, input);
-
-        self.device_gpu
-            .borrow_mut()
-            .set_fusion_plan(compiled.fusion_plan().to_vec());
-        if let Err(e) = self.exec_kept(compiled) {
-            self.cleanup();
-            return Err(e);
-        }
-        self.profile.fusion = compiled.fusion_summary();
-
-        let raw = self
-            .device_mem
-            .borrow()
-            .dump_range(compiled.output.pa, compiled.output.len_elems as usize * 4);
-        let out: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        self.cleanup();
-        self.profile.exec = self.device_gpu.borrow().exec_stats().delta_since(&exec0);
-        self.profile.total = self.clock.now() - t0;
-        self.emit_receipt(&compiled.workload, compiled.recording_digest(), input, &raw);
-        Ok((out, self.profile.total))
+        let (mut outs, total) = self.replay_compiled_batch(compiled, &[input], weights)?;
+        Ok((outs.swap_remove(0), total))
     }
 
-    /// Replays a compiled recording once for a whole batch of inputs
-    /// (DESIGN.md §14): one pass over the op arena serves `inputs.len()`
-    /// inference inputs, sharing the control dialog (register writes,
-    /// polls, interrupt waits, metastate deltas, reset/wipe/restore) and
-    /// the batch-resident operand traffic across the batch.
+    /// Replays a compiled recording once for a whole batch of
+    /// `1..=MAX_BATCH` inputs (DESIGN.md §14) — the one warm executor.
+    /// One pass over the op arena serves `inputs.len()` inference inputs,
+    /// sharing the control dialog (register writes, polls, interrupt
+    /// waits, metastate deltas, reset/wipe/restore) and the batch-resident
+    /// operand traffic across the batch.
     ///
-    /// Lane 0 runs on the device's primary memory exactly as
-    /// [`Replayer::replay_compiled`] would; each extra input gets a memory
-    /// lane forked after restore with only the input slot rewritten. The
-    /// fork copies only the pages staging touched (the rest of protected
-    /// memory is zero by the wipe), so a lane costs its working set, not
-    /// the carveout. Every lane's bytes evolve exactly as a scalar replay
-    /// of that input — batched outputs are bitwise identical to sequential
-    /// ones, property-tested across the zoo. With a single input this *is* the
-    /// scalar path: no lanes are attached and the emitted receipt is
-    /// byte-identical to [`Replayer::replay_compiled`]'s.
+    /// Lane 0 runs on the device's primary memory; each extra input gets a
+    /// memory lane, owned by the GPU while the pass runs, forked after
+    /// restore with only the input slot rewritten. The fork copies only
+    /// the pages staging touched (the rest of protected memory is zero by
+    /// the wipe), so a lane costs its working set, not the carveout. Every
+    /// lane's bytes evolve exactly as a one-input replay of that input —
+    /// batched outputs are bitwise identical to sequential ones,
+    /// property-tested across the zoo. A single input attaches no lanes:
+    /// that is [`Replayer::replay_compiled`].
     ///
     /// One [`ReplayReceipt`] covers the batch: its input digest commits to
     /// the per-lane input-digest vector via
-    /// [`grt_attest::batch_input_digest`] and its output digest covers the
-    /// lane outputs concatenated in lane order (verify with
-    /// [`grt_attest::verify_batch_receipt_data`]).
+    /// [`grt_attest::batch_input_digest`] (the lane digest itself for one
+    /// input) and its output digest covers the lane outputs concatenated
+    /// in lane order (verify with [`grt_attest::verify_batch_receipt_data`]).
     pub fn replay_compiled_batch<I: AsRef<[f32]>, W: AsRef<[f32]>>(
         &mut self,
         compiled: &CompiledRecording,
         inputs: &[I],
         weights: &[W],
     ) -> Result<(Vec<Vec<f32>>, SimTime), ReplayError> {
-        let plan = compiled
-            .batch_plan(inputs.len())
-            .map_err(|_| ReplayError::BadInput)?;
+        if !(1..=MAX_BATCH).contains(&inputs.len()) {
+            return Err(ReplayError::BadInput);
+        }
+        self.check_compiled(compiled, inputs, weights)?;
+
+        self.profile = ReplayProfile::default();
+        let t0 = self.clock.now();
+        let exec0 = self.device_gpu.borrow().exec_stats();
+        self.stage_compiled(compiled, inputs[0].as_ref(), weights);
+        // Lane images: fork the restored primary, then overwrite the input
+        // slot. The fork copies every page staging touched — page tables,
+        // descriptors, weight pages — and the rest is zero on both sides,
+        // so lane b starts byte-identical to what a one-input replay of
+        // `inputs[b]` would stage.
+        let lanes = inputs[1..]
+            .iter()
+            .map(|input| {
+                let mut lane = self.device_mem.borrow().clone();
+                lane.restore_range(compiled.input.pa, self.upload.stage(input.as_ref()));
+                Rc::new(RefCell::new(lane))
+            })
+            .collect();
+        self.device_gpu.borrow_mut().set_batch_lanes(lanes);
+        if let Err(e) = compiled
+            .kept_ops()
+            .try_for_each(|op| self.exec_op(compiled, op))
+        {
+            self.cleanup();
+            return Err(e);
+        }
+        self.profile.fusion = compiled.fusion_summary();
+
+        // Commit the batch: lane 0 from the primary memory, then each
+        // extra lane's output region, concatenated in lane order for the
+        // batch receipt.
+        let out_len = compiled.output.len_elems as usize * 4;
+        let lanes = self.device_gpu.borrow_mut().take_batch_lanes();
+        let raws: Vec<Vec<u8>> = std::iter::once(&self.device_mem)
+            .chain(&lanes)
+            .map(|mem| mem.borrow().dump_range(compiled.output.pa, out_len))
+            .collect();
+        let outs: Vec<Vec<f32>> = raws.iter().map(|raw| f32s(raw)).collect();
+        self.cleanup();
+        self.profile.exec = self.device_gpu.borrow().exec_stats().delta_since(&exec0);
+        self.profile.total = self.clock.now() - t0;
+        let input_digests: Vec<[u8; 32]> = inputs
+            .iter()
+            .map(|input| Sha256::digest(self.upload.stage(input.as_ref())))
+            .collect();
+        self.emit_receipt(
+            &compiled.workload,
+            compiled.recording_digest(),
+            grt_attest::batch_input_digest(&input_digests),
+            &raws.concat(),
+        );
+        Ok((outs, self.profile.total))
+    }
+
+    /// Checks a compiled recording against the present SKU and the shapes
+    /// of the data about to be injected. The SKU is re-checked because a
+    /// compiled recording outlives device handoffs in the serve registry,
+    /// and the check is two loads.
+    fn check_compiled<I: AsRef<[f32]>, W: AsRef<[f32]>>(
+        &self,
+        compiled: &CompiledRecording,
+        inputs: &[I],
+        weights: &[W],
+    ) -> Result<(), ReplayError> {
         let present = self.device_gpu.borrow().sku().gpu_id;
         if compiled.gpu_id != present {
             return Err(ReplayError::WrongSku {
@@ -650,100 +654,26 @@ impl Replayer {
         {
             return Err(ReplayError::BadInput);
         }
-        Self::check_weights(&compiled.weights, weights)?;
+        Self::check_weights(&compiled.weights, weights)
+    }
 
-        self.profile = ReplayProfile::default();
-        let t0 = self.clock.now();
-        let exec0 = self.device_gpu.borrow().exec_stats();
-        self.lock_and_stage(
-            &compiled.weights,
-            weights,
-            compiled.input,
-            inputs[0].as_ref(),
-        );
-        // Lane images: fork the restored primary, then overwrite the input
-        // slot. The fork copies every page staging touched — page tables,
-        // descriptors, weight pages — and the rest is zero on both sides,
-        // so lane b starts byte-identical to what
-        // `replay_compiled(inputs[b], ...)` would stage.
-        for input in &inputs[1..] {
-            let mut lane = self.device_mem.borrow().clone();
-            lane.restore_range(plan.input.pa, self.upload.stage(input.as_ref()));
-            self.batch_lanes
-                .push(Rc::new(std::cell::RefCell::new(lane)));
-        }
-        self.device_gpu
-            .borrow_mut()
-            .set_batch_lanes(self.batch_lanes.clone());
-
+    /// Locks, resets, wipes and stages the device for a compiled walk, and
+    /// installs the recording's fusion plan.
+    fn stage_compiled<W: AsRef<[f32]>>(
+        &mut self,
+        compiled: &CompiledRecording,
+        input: &[f32],
+        weights: &[W],
+    ) {
+        self.lock_and_stage(&compiled.weights, weights, compiled.input, input);
         self.device_gpu
             .borrow_mut()
             .set_fusion_plan(compiled.fusion_plan().to_vec());
-        if let Err(e) = self.exec_kept(compiled) {
-            self.detach_lanes();
-            self.cleanup();
-            return Err(e);
-        }
-        self.profile.fusion = compiled.fusion_summary();
-
-        // Commit the batch: lane 0 from the primary memory, then each
-        // extra lane's output region, concatenated in lane order for the
-        // batch receipt.
-        let out_len = plan.output_bytes();
-        let mut raws: Vec<Vec<u8>> = Vec::with_capacity(plan.batch);
-        raws.push(self.device_mem.borrow().dump_range(plan.output.pa, out_len));
-        for lane in &self.batch_lanes {
-            raws.push(lane.borrow().dump_range(plan.output.pa, out_len));
-        }
-        self.detach_lanes();
-        let outs: Vec<Vec<f32>> = raws
-            .iter()
-            .map(|raw| {
-                raw.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect()
-            })
-            .collect();
-        self.cleanup();
-        self.profile.exec = self.device_gpu.borrow().exec_stats().delta_since(&exec0);
-        self.profile.total = self.clock.now() - t0;
-        let input_digests: Vec<[u8; 32]> = inputs
-            .iter()
-            .map(|input| Sha256::digest(self.upload.stage(input.as_ref())))
-            .collect();
-        let concat: Vec<u8> = raws.concat();
-        self.emit_receipt_digested(
-            &compiled.workload,
-            compiled.recording_digest(),
-            grt_attest::batch_input_digest(&input_digests),
-            &concat,
-        );
-        Ok((outs, self.profile.total))
-    }
-
-    /// Detaches batch lanes from the GPU and drops the replayer's copies.
-    fn detach_lanes(&mut self) {
-        self.device_gpu.borrow_mut().take_batch_lanes();
-        self.batch_lanes.clear();
-    }
-
-    /// Walks the compiled arena's kept ranges — the warm replay loop. The
-    /// gaps between ranges are the dialog windows of fused tails and
-    /// elided identity copies; their polls, interrupt waits, and MMU
-    /// flushes are never issued, which is where the fusion speedup comes
-    /// from (the fused work itself runs inside the head's job via the
-    /// directives handed to the GPU above).
-    fn exec_kept(&mut self, compiled: &CompiledRecording) -> Result<(), ReplayError> {
-        for &(s, e) in compiled.kept_ranges() {
-            for op in &compiled.ops()[s as usize..e as usize] {
-                self.exec_op(compiled, op)?;
-            }
-        }
-        Ok(())
     }
 
     /// Executes one compiled op. No decoding, no validation of
-    /// encoding-level invariants — [`compile`] already established them.
+    /// encoding-level invariants — [`compile_from_ir`] already established
+    /// them.
     fn exec_op(&mut self, compiled: &CompiledRecording, op: &Op) -> Result<(), ReplayError> {
         self.clock.advance(COMPILED_EVENT_TIME);
         self.profile.events += 1;
@@ -811,10 +741,10 @@ impl Replayer {
                 }
                 // Batched replay: metastate evolves identically across
                 // lanes (the delta targets control pages, not per-input
-                // data), so the same XOR lands on every lane. The time is
-                // charged once per batch below — one stream of pre-parsed
-                // pages fans out to all images.
-                for lane in &self.batch_lanes {
+                // data), so the same XOR lands on every lane the GPU holds.
+                // The time is charged once per batch below — one stream of
+                // pre-parsed pages fans out to all images.
+                for lane in self.device_gpu.borrow().batch_lanes() {
                     let mut lmem = lane.borrow_mut();
                     for (page, xor) in d.parsed.pages() {
                         lmem.xor_range(d.pa + u64::from(*page) * grt_gpu::PAGE_SIZE as u64, xor);
@@ -830,104 +760,94 @@ impl Replayer {
         Ok(())
     }
 
+    /// Detaches any fusion plan and batch lanes, resets the GPU and
+    /// releases it to the normal world.
     fn cleanup(&mut self) {
-        self.device_gpu.borrow_mut().take_fusion_plan();
-        self.device_gpu.borrow_mut().hard_reset_now();
+        let mut gpu = self.device_gpu.borrow_mut();
+        gpu.take_fusion_plan();
+        gpu.take_batch_lanes();
+        gpu.hard_reset_now();
+        drop(gpu);
         self.tzasc
             .release(crate::client::GPU_MMIO_BASE, crate::client::GPU_MMIO_LEN);
     }
 
-    /// Begins an incremental, layer-at-a-time replay — Figure 2's
-    /// composable recording granularity: the app may interleave its own
-    /// CPU work (e.g. pre/post-processing, early exit) between layers.
+    /// Begins an incremental, layer-at-a-time replay of a compiled
+    /// recording — Figure 2's composable recording granularity: the app
+    /// may interleave its own CPU work (e.g. pre/post-processing, early
+    /// exit) between layers.
     ///
-    /// Verification, injection, and GPU lockdown happen here; drive the
-    /// layers with [`LayeredReplay::replay_layer`] and collect the output
-    /// with [`LayeredReplay::finish`].
+    /// The checks, injection, GPU lockdown and fusion-plan install of
+    /// [`Replayer::replay_compiled`] happen here; drive the layers with
+    /// [`LayeredReplay::replay_layer`] and collect the output with
+    /// [`LayeredReplay::finish`]. Fusion elides only kbase register
+    /// dialogs, and compilation keeps every layer marker in a kept range,
+    /// so the walk yields every layer.
     pub fn begin_layered<'r, W: AsRef<[f32]>>(
         &'r mut self,
-        signed: &SignedRecording,
-        key: &KeyPair,
+        compiled: &'r CompiledRecording,
         input: &[f32],
         weights: &[W],
     ) -> Result<LayeredReplay<'r>, ReplayError> {
-        let rec = signed
-            .verify_and_parse(key)
-            .ok_or(ReplayError::BadRecording)?;
-        let present = self.device_gpu.borrow().sku().gpu_id;
-        if rec.gpu_id != present {
-            return Err(ReplayError::WrongSku {
-                recorded: rec.gpu_id,
-                present,
-            });
-        }
-        self.vet(&rec)?;
-        if input.len() != rec.input.len_elems as usize {
-            return Err(ReplayError::BadInput);
-        }
-        Self::check_weights(&rec.weights, weights)?;
+        self.check_compiled(compiled, &[input], weights)?;
         self.profile = ReplayProfile::default();
-        self.lock_and_stage(&rec.weights, weights, rec.input, input);
+        self.stage_compiled(compiled, input, weights);
+        let walk: Box<dyn Iterator<Item = &'r Op> + 'r> = Box::new(compiled.kept_ops());
         Ok(LayeredReplay {
             replayer: self,
-            rec,
-            cursor: 0,
-            done: false,
+            compiled,
+            walk: walk.peekable(),
         })
     }
+}
+
+/// Decodes little-endian f32 output bytes.
+fn f32s(raw: &[u8]) -> Vec<f32> {
+    raw.chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
 }
 
 /// An in-progress layer-at-a-time replay (see
 /// [`Replayer::begin_layered`]).
 pub struct LayeredReplay<'r> {
     replayer: &'r mut Replayer,
-    rec: crate::recording::Recording,
-    cursor: usize,
-    done: bool,
+    compiled: &'r CompiledRecording,
+    /// The kept ops still to run, in order.
+    walk: std::iter::Peekable<Box<dyn Iterator<Item = &'r Op> + 'r>>,
 }
 
 impl LayeredReplay<'_> {
     /// Number of layers in the recording.
     pub fn layer_count(&self) -> usize {
-        self.rec
-            .events
+        self.compiled
+            .ops()
             .iter()
-            .filter(|e| matches!(e, Event::BeginLayer { .. }))
+            .filter(|op| matches!(op, Op::BeginLayer { .. }))
             .count()
     }
 
-    /// Replays the next layer's events. Returns the layer index replayed,
-    /// or `None` when every layer has completed.
+    /// Replays the next layer's ops: from its `BeginLayer` marker (or the
+    /// start, for setup ops before the first marker) up to the next
+    /// marker. Returns the layer index replayed, or `None` when every
+    /// layer has completed or the walk has failed.
     pub fn replay_layer(&mut self) -> Result<Option<u32>, ReplayError> {
-        if self.done || self.cursor >= self.rec.events.len() {
-            self.done = true;
-            return Ok(None);
-        }
-        // The cursor always rests on a BeginLayer (or 0 with leading init
-        // events before the first layer marker).
-        let mut layer_index = None;
-        while self.cursor < self.rec.events.len() {
-            let event = self.rec.events[self.cursor].clone();
-            if let Event::BeginLayer { index } = event {
-                if layer_index.is_some() {
-                    // Next layer's marker: stop before consuming it.
-                    break;
-                }
-                layer_index = Some(index);
-                self.cursor += 1;
-                continue;
+        let mut layer = None;
+        while let Some(op) = self
+            .walk
+            .next_if(|op| layer.is_none() || !matches!(op, Op::BeginLayer { .. }))
+        {
+            if let Op::BeginLayer { index } = *op {
+                layer = Some(index);
             }
-            if let Err(e) = self.replayer.exec_event(&event) {
-                self.done = true;
+            if let Err(e) = self.replayer.exec_op(self.compiled, op) {
+                // Drain the walk so later calls report completion.
+                for _ in self.walk.by_ref() {}
                 self.replayer.cleanup();
                 return Err(e);
             }
-            self.cursor += 1;
         }
-        if self.cursor >= self.rec.events.len() {
-            self.done = true;
-        }
-        Ok(layer_index)
+        Ok(layer)
     }
 
     /// Reads the output and scrubs hardware state.
@@ -935,23 +855,21 @@ impl LayeredReplay<'_> {
     /// Valid once [`LayeredReplay::replay_layer`] has returned `None` (or
     /// earlier, for apps that only need a prefix of the network).
     pub fn finish(self) -> Vec<f32> {
+        let out = self.compiled.output;
         let raw = self
             .replayer
             .device_mem
             .borrow()
-            .dump_range(self.rec.output.pa, self.rec.output.len_elems as usize * 4);
+            .dump_range(out.pa, out.len_elems as usize * 4);
         self.replayer.cleanup();
-        raw.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
+        f32s(&raw)
     }
 }
 
 impl std::fmt::Debug for LayeredReplay<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LayeredReplay")
-            .field("cursor", &self.cursor)
-            .field("done", &self.done)
+            .field("workload", &self.compiled.workload)
             .finish()
     }
 }
@@ -1080,9 +998,8 @@ mod tests {
             .unwrap();
 
         let mut replayer = Replayer::new(&s.client, permissive());
-        let mut layered = replayer
-            .begin_layered(&out.recording, &key, &input, &weights)
-            .unwrap();
+        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
+        let mut layered = replayer.begin_layered(&compiled, &input, &weights).unwrap();
         assert_eq!(layered.layer_count(), spec.layers.len());
         let mut seen = Vec::new();
         while let Some(idx) = layered.replay_layer().unwrap() {
@@ -1115,9 +1032,8 @@ mod tests {
         let mut replayer = Replayer::new(&s.client, permissive());
         let input = test_input(&spec, 0);
         let weights = workload_weights(&spec);
-        let mut layered = replayer
-            .begin_layered(&out.recording, &key, &input, &weights)
-            .unwrap();
+        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
+        let mut layered = replayer.begin_layered(&compiled, &input, &weights).unwrap();
         let err = loop {
             match layered.replay_layer() {
                 Ok(Some(_)) => continue,
@@ -1126,6 +1042,7 @@ mod tests {
             }
         };
         assert_eq!(err, ReplayError::IrqHang);
+        assert_eq!(layered.replay_layer(), Ok(None), "a failed walk is over");
         // The TZASC claim was released by the error path.
         assert!(s
             .client

@@ -184,8 +184,7 @@ impl TeeModule for ReplayService {
                 let batch = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
                 let elems = compiled.input.len_elems as usize;
                 // The payload must carry exactly B images of the recorded
-                // input shape; the replayer re-validates against its
-                // batch-plan bound.
+                // input shape; the replayer re-checks the same bound.
                 if batch == 0
                     || batch > crate::compiled::MAX_BATCH
                     || input.len() - 4 != batch * elems * 4

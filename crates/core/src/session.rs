@@ -16,7 +16,6 @@
 use crate::client::GpuShim;
 use crate::drivershim::{DriverShim, ShimConfig};
 use crate::recording::{DataSlot, SignedRecording};
-use crate::replay::region_pa;
 use grt_crypto::{AttestationReport, KeyPair};
 use grt_driver::{DriverError, JobIrqOutcome, KbaseDriver, RegionTable};
 use grt_gpu::mem::Memory;
@@ -611,6 +610,15 @@ impl RecordSession {
             net,
         })
     }
+}
+
+/// Looks up a GPU VA's physical address in the driver's region table.
+/// The runtime allocated every slot VA it hands back, so it is mapped.
+fn region_pa(regions: &RegionTable, va: u64) -> u64 {
+    regions
+        .find_va(va)
+        .and_then(|r| r.va_to_pa(va))
+        .expect("compiled VA is always mapped")
 }
 
 impl std::fmt::Debug for RecordSession {

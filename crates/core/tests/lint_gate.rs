@@ -6,12 +6,15 @@
 //! both crates resolve to the same build of grt-core, making
 //! `grt_lint::Linter` usable as a `grt_core::gate::RecordingGate`.
 
+use grt_core::gate::{GateContext, RecordingGate, Rejection};
 use grt_core::recording::{Event, SignedRecording};
 use grt_core::replay::{workload_weights, ReplayError, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
+use grt_ir::IrProgram;
 use grt_ml::reference::test_input;
 use grt_net::NetConditions;
+use std::cell::Cell;
 use std::rc::Rc;
 
 fn record_mnist() -> (RecordSession, grt_core::session::RecordOutcome) {
@@ -77,9 +80,8 @@ fn lint_gate_refuses_sabotaged_recording_before_execution() {
 }
 
 #[test]
-fn layered_replay_also_vets_through_the_gate() {
+fn compile_vets_through_the_gate_before_layered_replay() {
     let (s, mut out) = record_mnist();
-    let spec = grt_ml::zoo::mnist();
     let key = s.recording_key();
     let mut rec = out.recording.verify_and_parse(&key).unwrap();
     // Double-submit the first job: two STARTs with no intervening sync.
@@ -95,17 +97,40 @@ fn layered_replay_also_vets_through_the_gate() {
     let dup = rec.events[first_start].clone();
     rec.events.insert(first_start, dup);
     out.recording = SignedRecording::sign(&rec, &key);
+    // Layered replay starts from a compiled recording, and only a vetted
+    // recording compiles: the gate refuses before any layer can start.
     let mut replayer = Replayer::new(&s.client, Rc::new(grt_lint::Linter::new()));
-    let Err(err) = replayer.begin_layered(
-        &out.recording,
-        &key,
-        &test_input(&spec, 0),
-        &workload_weights(&spec),
-    ) else {
-        panic!("gate must refuse before layered replay starts");
-    };
-    match err {
-        ReplayError::Rejected { rule, .. } => assert_eq!(rule, "R5"),
+    match replayer.compile_signed(&out.recording, &key) {
+        Err(ReplayError::Rejected { rule, .. }) => assert_eq!(rule, "R5"),
         other => panic!("expected lint rejection, got {other:?}"),
     }
+}
+
+/// A gate that counts its calls and remembers the size of the program it
+/// saw, then defers to the real analyzer.
+#[derive(Default)]
+struct CountingGate {
+    calls: Cell<usize>,
+    steps_seen: Cell<usize>,
+}
+
+impl RecordingGate for CountingGate {
+    fn vet(&self, ir: &IrProgram, ctx: &GateContext<'_>) -> Result<(), Rejection> {
+        self.calls.set(self.calls.get() + 1);
+        self.steps_seen.set(ir.steps.len());
+        grt_lint::Linter::new().vet(ir, ctx)
+    }
+}
+
+#[test]
+fn compile_signed_vets_one_lift_and_lowers_it() {
+    let (s, out) = record_mnist();
+    let gate = Rc::new(CountingGate::default());
+    let mut replayer = Replayer::new(&s.client, Rc::clone(&gate) as Rc<dyn RecordingGate>);
+    let compiled = replayer
+        .compile_signed(&out.recording, &s.recording_key())
+        .expect("clean recording compiles");
+    assert_eq!(gate.calls.get(), 1, "one load, one vet");
+    // The gate saw the program compile lowered: one step per op.
+    assert_eq!(gate.steps_seen.get() as u64, compiled.num_events());
 }

@@ -364,6 +364,12 @@ impl Gpu {
         self.batch_lanes = lanes;
     }
 
+    /// The attached batch lanes (empty in scalar operation); a replayer
+    /// mirrors metastate deltas onto each of them.
+    pub fn batch_lanes(&self) -> &[Rc<RefCell<Memory>>] {
+        &self.batch_lanes
+    }
+
     /// Detaches and returns the batch lanes, restoring scalar operation.
     pub fn take_batch_lanes(&mut self) -> Vec<Rc<RefCell<Memory>>> {
         std::mem::take(&mut self.batch_lanes)

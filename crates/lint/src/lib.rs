@@ -91,9 +91,10 @@ impl Linter {
 
     /// Runs all nine rules over `rec` for `sku`, consulting `spec` for the
     /// shape checks when one is available (R4/R6 get stricter with it).
-    /// Lifts the recording to the semantics IR internally; callers that
-    /// already hold a lift (the serving registry lifts once for lint *and*
-    /// compile) should use [`Linter::lint_ir`].
+    /// Lifts the recording to the semantics IR internally — a convenience
+    /// for the `recording-lint` CLI and tests. Callers that already hold a
+    /// lift (the replayer and the serving registry lift once for lint
+    /// *and* compile) use [`Linter::lint_ir`].
     pub fn lint(&self, rec: &Recording, sku: &GpuSku, spec: Option<&NetworkSpec>) -> LintReport {
         let ir = grt_core::ir::lift_recording(rec, sku.pte_quirk);
         self.lint_ir(&ir, sku, spec)
@@ -107,19 +108,14 @@ impl Linter {
     }
 }
 
-/// Convenience: lint with default bounds.
-pub fn lint_recording(rec: &Recording, sku: &GpuSku, spec: Option<&NetworkSpec>) -> LintReport {
-    Linter::new().lint(rec, sku, spec)
-}
-
 impl RecordingGate for Linter {
-    fn vet(&self, rec: &Recording, ctx: &GateContext<'_>) -> Result<(), Rejection> {
+    fn vet(&self, ir: &IrProgram, ctx: &GateContext<'_>) -> Result<(), Rejection> {
         let cfg = LintConfig {
             carveout_base: ctx.carveout_base,
             carveout_len: ctx.carveout_len,
             poll_iter_cap: ctx.poll_iter_cap,
         };
-        let report = Linter { cfg }.lint(rec, ctx.sku, None);
+        let report = Linter { cfg }.lint_ir(ir, ctx.sku, None);
         match report.first_error() {
             None => Ok(()),
             Some(d) => Err(Rejection {

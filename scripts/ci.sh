@@ -30,6 +30,11 @@ cargo test -q --workspace --lib
 echo "==> benchmark package unit tests"
 cargo test -q --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
+# Production line count per crate, for reporting a change's net line
+# delta. Informational only: it gates nothing.
+echo "==> production Rust lines per crate (informational)"
+sh scripts/prod_loc.sh
+
 echo "==> doc build: RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -260,9 +260,7 @@ fn wipe_after_any_replay_scrubs_the_carveout() {
             .unwrap();
         assert!(all_zero(&device), "{}: batched replay", spec.name);
 
-        let mut layered = replayer
-            .begin_layered(&out.recording, &key, &input, &weights)
-            .unwrap();
+        let mut layered = replayer.begin_layered(&compiled, &input, &weights).unwrap();
         while layered.replay_layer().unwrap().is_some() {}
         layered.finish();
         assert!(all_zero(&device), "{}: layered replay", spec.name);

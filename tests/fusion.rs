@@ -6,12 +6,14 @@
 //!   network and randomized shape-consistent networks.
 //! - Fused batched replay must stay lane-for-lane identical to sequential
 //!   fused scalar replays.
+//! - Layered replay walks the fused compiled recording and must still
+//!   yield every layer and the same output bits.
 //! - Fusion must actually fire on the conv nets (the perf win is load-
 //!   bearing: ISSUE 10 gates ≥1.15× on ResNet12/VGG16), and the virtual-
 //!   time model must show the warm replay getting faster, not just the op
 //!   count shrinking.
 
-use grt_core::compiled::{compile_unfused, CompiledRecording};
+use grt_core::compiled::{compile_from_ir_opts, CompiledRecording};
 use grt_core::replay::{workload_weights, Replayer, REPLAY_POLL_ITER_CAP};
 use grt_core::session::{RecordOutcome, RecordSession, RecorderMode};
 use grt_ml::reference::test_input;
@@ -149,9 +151,11 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The event-for-event lowering of the same recording, fusion off.
 fn unfused_of(s: &RecordSession, out: &RecordOutcome) -> CompiledRecording {
     let rec = out.recording.verify_and_parse(&s.recording_key()).unwrap();
-    compile_unfused(&rec, grt_gpu::PAGE_SIZE, REPLAY_POLL_ITER_CAP).unwrap()
+    let ir = grt_core::ir::lift_recording(&rec, s.client.gpu.borrow().sku().pte_quirk);
+    compile_from_ir_opts(&rec, ir, REPLAY_POLL_ITER_CAP, false).unwrap()
 }
 
 /// Fused output bits equal the unfused compiled lowering *and* the
@@ -253,6 +257,47 @@ fn fused_batched_replay_matches_sequential() {
         for (lane, (seq, got)) in sequential.iter().zip(&batched).enumerate() {
             assert_eq!(seq, &bits(got), "{name}: lane {lane}");
         }
+    }
+}
+
+/// Layered replay runs fused: on every zoo network, walking the fused
+/// compiled recording layer by layer yields exactly the spec's layer
+/// indices, the same output bits as `replay_compiled`, and a carveout
+/// the wipe leaves all-zero.
+#[test]
+fn layered_replay_runs_fused_across_the_zoo() {
+    for spec in grt_ml::zoo::all_benchmarks() {
+        let (s, out) = rig(&spec);
+        let key = s.recording_key();
+        let mut replayer = Replayer::new(&s.client, Rc::new(grt_lint::Linter::new()));
+        let weights = workload_weights(&spec);
+        let fused = replayer.compile_signed(&out.recording, &key).unwrap();
+        let input = test_input(&spec, 0x1A7E);
+        let (whole, _) = replayer.replay_compiled(&fused, &input, &weights).unwrap();
+
+        let mut layered = replayer.begin_layered(&fused, &input, &weights).unwrap();
+        assert_eq!(layered.layer_count(), spec.layers.len(), "{}", spec.name);
+        let mut seen = Vec::new();
+        while let Some(idx) = layered.replay_layer().unwrap() {
+            seen.push(idx);
+        }
+        assert_eq!(
+            seen,
+            (0..spec.layers.len() as u32).collect::<Vec<_>>(),
+            "{}: layer indices",
+            spec.name
+        );
+        assert_eq!(bits(&layered.finish()), bits(&whole), "{}", spec.name);
+
+        let mut mem = s.client.mem.borrow_mut();
+        mem.wipe();
+        assert!(
+            mem.dump_range(0, grt_core::session::CLIENT_MEM_BYTES)
+                .iter()
+                .all(|&b| b == 0),
+            "{}: carveout not scrubbed",
+            spec.name
+        );
     }
 }
 

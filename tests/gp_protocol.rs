@@ -195,3 +195,89 @@ fn failed_invocations_do_not_poison_the_session() {
     let raw = host.invoke(session, cmd::RUN, &[]).expect("replay runs");
     assert!(!raw.is_empty());
 }
+
+/// `RUN_BATCH` payload: `u32-LE B ‖ images`, the images as f32-LE bytes.
+fn batch_payload(batch: u32, images: &[Vec<f32>]) -> Vec<u8> {
+    let mut p = batch.to_le_bytes().to_vec();
+    p.extend(images.iter().flatten().flat_map(|v| v.to_le_bytes()));
+    p
+}
+
+#[test]
+fn run_batch_rejects_bad_geometry_and_unstaged_state() {
+    use grt_core::replay::workload_weights;
+    let (s, out) = recorded();
+    let (host, session) = service_host(&s);
+    let spec = grt_ml::zoo::mnist();
+    let weights = workload_weights(&spec);
+    let image = test_input(&spec, 3);
+    let input_bytes: Vec<u8> = image.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let load = || {
+        host.invoke(session, cmd::LOAD_RECORDING, &load_blob(&out))
+            .expect("valid load");
+        host.invoke(session, cmd::SET_INPUT, &input_bytes)
+            .expect("input stages");
+    };
+    let stage_weights = || {
+        for (i, w) in weights.iter().enumerate() {
+            let mut p = (i as u32).to_le_bytes().to_vec();
+            p.extend(w.iter().flat_map(|v| v.to_le_bytes()));
+            host.invoke(session, cmd::SET_WEIGHTS, &p).expect("weights");
+        }
+    };
+    // Each refusal must leave the GPU unclaimed and the session able to
+    // run a plain RUN.
+    let refused = |payload: &[u8], what: &str| {
+        assert_eq!(
+            host.invoke(session, cmd::RUN_BATCH, payload),
+            Err(GpStatus::BadParameters),
+            "{what}"
+        );
+        assert!(
+            s.client
+                .tzasc
+                .owner_of(grt_core::client::GPU_MMIO_BASE)
+                .is_none(),
+            "{what}: GPU left claimed"
+        );
+    };
+    let run_ok = |what: &str| {
+        let raw = host.invoke(session, cmd::RUN, &[]);
+        assert!(
+            raw.is_ok_and(|r| !r.is_empty()),
+            "{what}: RUN after refusal"
+        );
+    };
+
+    let two = vec![image.clone(); 2];
+    refused(&batch_payload(2, &two), "RUN_BATCH before LOAD_RECORDING");
+    load();
+    stage_weights();
+    run_ok("RUN_BATCH before LOAD_RECORDING");
+
+    load();
+    refused(&batch_payload(2, &two), "unstaged weights");
+    stage_weights();
+    run_ok("unstaged weights");
+
+    let max = grt_core::compiled::MAX_BATCH;
+    refused(&batch_payload(0, &[]), "B=0");
+    run_ok("B=0");
+    refused(
+        &batch_payload(max as u32 + 1, &vec![image.clone(); max + 1]),
+        "B=65",
+    );
+    run_ok("B=65");
+    refused(&batch_payload(u32::MAX, &two), "B=u32::MAX");
+    run_ok("B=u32::MAX");
+    let mut short = batch_payload(2, &two);
+    short.truncate(short.len() - 4);
+    refused(&short, "payload one f32 short");
+    run_ok("payload one f32 short");
+
+    // The bounds are tight: a full B=2 batch of the same payload runs.
+    let outs = host
+        .invoke(session, cmd::RUN_BATCH, &batch_payload(2, &two))
+        .expect("well-formed batch runs");
+    assert_eq!(outs.len(), 2 * spec.output_len as usize * 4);
+}
