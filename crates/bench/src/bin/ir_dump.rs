@@ -54,7 +54,7 @@ fn main() -> ExitCode {
             failed = true;
             continue;
         };
-        let ir = grt_core::ir::lift_recording(&rec, sku.pte_quirk);
+        let ir = grt_ir::lift_recording(&rec, sku.pte_quirk);
         print!("{}", grt_ir::dump::dump(&ir));
     }
     if failed {

@@ -84,7 +84,7 @@ pub fn record_cold(
 /// Serializes a signed recording for the `.grt` on-disk format:
 /// `recording bytes ‖ 32-byte signature` (the GP LOAD_RECORDING blob).
 /// Shared by the `recording-lint` and `ir-dump` CLI front-ends.
-pub fn signed_to_blob(signed: &grt_core::recording::SignedRecording) -> Vec<u8> {
+pub fn signed_to_blob(signed: &grt_ir::recording::SignedRecording) -> Vec<u8> {
     let mut blob = signed.bytes.clone();
     blob.extend_from_slice(signed.signature.as_bytes());
     blob
@@ -92,14 +92,14 @@ pub fn signed_to_blob(signed: &grt_core::recording::SignedRecording) -> Vec<u8> 
 
 /// Parses a `.grt` blob back into a signed recording (`None` when too
 /// short to carry a signature).
-pub fn signed_from_blob(blob: &[u8]) -> Option<grt_core::recording::SignedRecording> {
+pub fn signed_from_blob(blob: &[u8]) -> Option<grt_ir::recording::SignedRecording> {
     if blob.len() < 33 {
         return None;
     }
     let (body, sig) = blob.split_at(blob.len() - 32);
     let mut raw = [0u8; 32];
     raw.copy_from_slice(sig);
-    Some(grt_core::recording::SignedRecording {
+    Some(grt_ir::recording::SignedRecording {
         bytes: body.to_vec(),
         signature: grt_crypto::Signature::from_bytes(raw),
     })

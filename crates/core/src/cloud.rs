@@ -58,11 +58,6 @@ impl CloudVmImage {
         CloudVmImage { devicetrees }
     }
 
-    /// GPU models this image can drive.
-    pub fn supported(&self) -> &[GpuSku] {
-        &self.devicetrees
-    }
-
     /// Selects the devicetree for a connecting client's `GPU_ID` — the
     /// boot-time dynamic loading of §6.
     pub fn devicetree_for(&self, gpu_id: u32) -> Result<GpuSku, UnsupportedGpu> {

@@ -30,18 +30,18 @@
 //! a vetted recording's verdict carries over to its compiled form.
 //!
 //! Since the semantics-IR rework, lowering consumes the
-//! [`grt_ir::IrProgram`] lifted by [`crate::ir`] instead of re-decoding
-//! the event stream itself: the typed [`grt_ir::program::Step`] arena maps
+//! [`grt_ir::IrProgram`] lifted by [`grt_ir::lift_recording`] instead of
+//! re-decoding the event stream itself: the typed [`grt_ir::program::Step`] arena maps
 //! 1:1 onto [`Op`]s, and the deltas the lifter already parsed move into
 //! the compiled delta arena without a second wire-format walk. The same
 //! lift feeds `grt-lint`, so the vetted semantics and the replayed
 //! semantics are one decode, not two.
 
-use crate::recording::{irq_line_from, DataSlot, Recording};
 use grt_compress::ParsedDelta;
 use grt_driver::PollCond;
 use grt_gpu::{FusedDirective, IrqLine};
 use grt_ir::program::Step;
+use grt_ir::recording::{irq_line_from, DataSlot, Recording};
 use grt_ir::{FusionSummary, IrProgram};
 
 /// A compile-time rejection: the recording's events carry a field outside
@@ -211,11 +211,6 @@ impl CompiledRecording {
         &self.deltas[index as usize]
     }
 
-    /// Number of pre-parsed deltas.
-    pub fn delta_count(&self) -> usize {
-        self.deltas.len()
-    }
-
     /// Number of ops (equals the recording's event count).
     pub fn num_events(&self) -> u64 {
         self.ops.len() as u64
@@ -259,6 +254,28 @@ impl CompiledRecording {
     pub fn fusion_summary(&self) -> FusionSummary {
         self.fusion_summary
     }
+}
+
+/// Decodes a recorded poll's condition code and iteration budget — the
+/// one decoder the interpreted replayer, this compiler and the debug audit
+/// share. `Err` names the malformed field and its value: a condition code
+/// outside the three defined ones (lint R3 flags the same code), or a zero
+/// budget, which can never succeed.
+pub(crate) fn decode_poll(
+    cond: u8,
+    cmp: u32,
+    max_iters: u32,
+) -> Result<PollCond, (&'static str, u32)> {
+    let cond = match cond {
+        0 => PollCond::MaskedZero,
+        1 => PollCond::MaskedNonZero,
+        2 => PollCond::MaskedEq(cmp),
+        _ => return Err(("poll.cond", u32::from(cond))),
+    };
+    if max_iters == 0 {
+        return Err(("poll.max_iters", 0));
+    }
+    Ok(cond)
 }
 
 /// Upper bound on batched-replay width, checked by
@@ -350,23 +367,8 @@ pub fn compile_from_ir_opts(
                 max_iters,
                 delay_us,
             } => {
-                let cond = match cond {
-                    0 => PollCond::MaskedZero,
-                    1 => PollCond::MaskedNonZero,
-                    2 => PollCond::MaskedEq(cmp),
-                    _ => {
-                        return Err(CompileError::MalformedEvent {
-                            field: "poll.cond",
-                            value: cond as u32,
-                        })
-                    }
-                };
-                if max_iters == 0 {
-                    return Err(CompileError::MalformedEvent {
-                        field: "poll.max_iters",
-                        value: 0,
-                    });
-                }
+                let cond = decode_poll(cond, cmp, max_iters)
+                    .map_err(|(field, value)| CompileError::MalformedEvent { field, value })?;
                 Op::Poll {
                     reg: intern_reg(reg, &mut regs, &mut intern)?,
                     mask,
@@ -454,11 +456,11 @@ pub fn compile_from_ir_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recording::Event;
+    use grt_ir::recording::Event;
 
     /// Lifts and lowers `rec` under quirk 0 with a 10 000-iteration cap.
     fn compile(rec: &Recording) -> Result<CompiledRecording, CompileError> {
-        compile_from_ir(rec, crate::ir::lift_recording(rec, 0), 10_000)
+        compile_from_ir(rec, grt_ir::lift_recording(rec, 0), 10_000)
     }
 
     fn base_recording(events: Vec<Event>) -> Recording {

@@ -14,9 +14,10 @@
 //!   diverges from the recorded behaviour, without aborting at the first
 //!   mismatch (unlike the replayer, whose job is to refuse).
 
-use crate::recording::{irq_line_from, Event, Recording};
+use crate::compiled::decode_poll;
 use crate::session::ClientDevice;
-use grt_driver::PollCond;
+use grt_ir::gate::REPLAY_POLL_ITER_CAP;
+use grt_ir::recording::{irq_line_from, Event, Recording};
 use grt_sim::SimTime;
 
 /// One observed divergence between two interaction logs (or between a log
@@ -197,13 +198,14 @@ pub fn audit_replay(device: &ClientDevice, recording: &Recording) -> Vec<Diverge
                 max_iters,
                 delay_us,
             } => {
-                let cond = match cond {
-                    0 => PollCond::MaskedZero,
-                    1 => PollCond::MaskedNonZero,
-                    _ => PollCond::MaskedEq(*cmp),
+                // An undefined condition or a zero budget can never be
+                // met: report it as a stuck poll, as the replayer would.
+                let Ok(cond) = decode_poll(*cond, *cmp, *max_iters) else {
+                    out.push(Divergence::PollStuck { index, reg: *reg });
+                    continue;
                 };
                 let mut satisfied = false;
-                for _ in 0..(*max_iters).min(10_000) {
+                for _ in 0..(*max_iters).min(REPLAY_POLL_ITER_CAP) {
                     let raw = device.gpu.borrow_mut().read_reg(*reg);
                     if cond.satisfied(raw, *mask) {
                         satisfied = true;
@@ -308,6 +310,33 @@ mod tests {
                 } if *offset == grt_gpu::regs::gpu_control::SHADER_PRESENT_LO
             )),
             "expected a SHADER_PRESENT divergence: {diffs:?}"
+        );
+    }
+
+    #[test]
+    fn audit_reports_undefined_poll_condition() {
+        let (s, mut rec) = recorded(GpuSku::mali_g71_mp8());
+        let (index, reg) = rec
+            .events
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, e)| match e {
+                Event::Poll {
+                    reg,
+                    cond: cond @ 0,
+                    cmp: 0,
+                    ..
+                } => {
+                    *cond = 7;
+                    Some((i, *reg))
+                }
+                _ => None,
+            })
+            .expect("a MaskedZero poll");
+        let diffs = audit_replay(&s.client, &rec);
+        assert!(
+            diffs.contains(&Divergence::PollStuck { index, reg }),
+            "undefined poll condition not reported: {diffs:?}"
         );
     }
 

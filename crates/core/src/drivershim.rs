@@ -27,12 +27,14 @@
 
 use crate::client::{encode_batch, GpuShim, WireAccess};
 use crate::memsync::{MemSync, SyncError, SyncMode};
-use crate::recording::{poll_event, Event, RecordingBuilder};
 use grt_crypto::SecureChannel;
-use grt_driver::{Loc, LockId, PollResult, PollSpec, RegPort, RegVal, SpecToken, SymSlot};
+use grt_driver::{
+    Loc, LockId, PollCond, PollResult, PollSpec, RegPort, RegVal, SpecToken, SymSlot,
+};
 use grt_gpu::mem::Memory;
 use grt_gpu::regs::{gpu_control as gc, job_control as jc};
 use grt_gpu::IrqLine;
+use grt_ir::recording::{Event, RecordingBuilder};
 use grt_net::{Direction, Link};
 use grt_sim::{Clock, SimTime, Stats, Trace};
 use std::cell::{Cell, RefCell};
@@ -435,7 +437,7 @@ impl DriverShim {
         self.link
             .transfer(64 + up.total_bytes() as usize, Direction::Up);
         self.builder.borrow_mut().push(Event::WaitIrq {
-            line: crate::recording::irq_line_code(IrqLine::Job),
+            line: grt_ir::recording::irq_line_code(IrqLine::Job),
         });
         true
     }
@@ -807,6 +809,23 @@ impl DriverShim {
                 None
             }
         }
+    }
+}
+
+/// Converts a driver [`PollSpec`] into the recorded event's fields.
+fn poll_event(spec: &PollSpec) -> Event {
+    let (cond, cmp) = match spec.cond {
+        PollCond::MaskedZero => (0u8, 0u32),
+        PollCond::MaskedNonZero => (1, 0),
+        PollCond::MaskedEq(v) => (2, v),
+    };
+    Event::Poll {
+        reg: spec.reg,
+        mask: spec.mask,
+        cond,
+        cmp,
+        max_iters: spec.max_iters,
+        delay_us: spec.delay_us as u32,
     }
 }
 
@@ -1360,11 +1379,11 @@ mod tests {
         let rec = builder.finish(
             "t".into(),
             0,
-            crate::recording::DataSlot {
+            grt_ir::recording::DataSlot {
                 pa: 0,
                 len_elems: 0,
             },
-            crate::recording::DataSlot {
+            grt_ir::recording::DataSlot {
                 pa: 0,
                 len_elems: 0,
             },

@@ -15,16 +15,19 @@
 //!   and locks the GPU against the normal world;
 //! - [`memsync`] — meta-only memory synchronization with delta + range
 //!   coding and continuous validation (§5);
-//! - [`recording`] — the signed interaction log and its byte format;
 //! - [`session`] — the end-to-end record workflow over an attested,
 //!   encrypted channel, configurable as `Naive` / `OursM` / `OursMD` /
 //!   `OursMDS` (the evaluation's four recorder builds);
 //! - [`replay`] — the in-TEE replayer: a few hundred lines with zero
 //!   dependencies on the GPU stack;
 //! - [`compiled`] — recordings lowered once at load time into a flat,
-//!   pre-validated op arena for fast repeated replay (DESIGN.md §9);
-//! - [`gate`] — the ahead-of-replay analysis interface the replayer vets
-//!   every recording through (implemented by the `grt-lint` crate).
+//!   pre-validated op arena for fast repeated replay (DESIGN.md §9).
+//!
+//! The signed interaction log, its byte format, and the ahead-of-replay
+//! gate the replayer vets every recording through live one layer down,
+//! in `grt-ir` (`grt_ir::recording`, `grt_ir::gate`), beside the lifter
+//! that reads them; the `grt-lint` analyzer implements the gate without
+//! depending on this crate.
 
 #![warn(missing_docs)]
 
@@ -33,10 +36,8 @@ pub mod cloud;
 pub mod compiled;
 pub mod debug;
 pub mod drivershim;
-pub mod gate;
 pub mod ir;
 pub mod memsync;
-pub mod recording;
 pub mod replay;
 pub mod service;
 pub mod session;
@@ -46,9 +47,7 @@ pub use cloud::{CloudVmImage, UnsupportedGpu};
 pub use compiled::{CompileError, CompiledRecording};
 pub use debug::{audit_replay, diff_recordings, Divergence};
 pub use drivershim::{CommitCategory, DriverShim, ShimConfig};
-pub use gate::{GateContext, PermissiveGate, RecordingGate, Rejection};
 pub use memsync::{MemSync, SyncMode};
-pub use recording::{Event, Recording, RecordingBuilder, SignedRecording};
 pub use replay::{LayeredReplay, ReplayError, ReplayProfile, Replayer};
 pub use service::ReplayService;
 pub use session::{

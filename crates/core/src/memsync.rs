@@ -21,10 +21,10 @@
 //! client unmaps the GPU's view while the GPU is idle.
 
 use crate::client::GpuShim;
-use crate::recording::Event;
 use grt_compress::DeltaCodec;
 use grt_driver::RegionTable;
 use grt_gpu::mem::{Memory, PageFlags};
+use grt_ir::recording::Event;
 use grt_sim::Stats;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;

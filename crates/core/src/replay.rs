@@ -8,14 +8,15 @@
 //! deltas rebuild the metastate. Before and after a replay the GPU is
 //! reset and the TZASC holds it in the secure world.
 
-use crate::compiled::{compile_from_ir, CompileError, CompiledRecording, Op, MAX_BATCH};
-use crate::gate::{GateContext, RecordingGate};
-use crate::recording::{irq_line_from, DataSlot, Event, Recording, SignedRecording};
+use crate::compiled::{
+    compile_from_ir, decode_poll, CompileError, CompiledRecording, Op, MAX_BATCH,
+};
 use crate::session::ClientDevice;
 use grt_attest::{ReceiptCounters, ReplayReceipt};
 use grt_compress::DeltaCodec;
 use grt_crypto::{KeyPair, Sha256};
-use grt_driver::PollCond;
+use grt_ir::gate::RecordingGate;
+use grt_ir::recording::{irq_line_from, DataSlot, Event, Recording, SignedRecording};
 use grt_ir::IrProgram;
 use grt_ml::reference::{biases_for_layer, weights_for_layer};
 use grt_ml::NetworkSpec;
@@ -36,11 +37,7 @@ const COMPILED_EVENT_TIME: SimTime = SimTime::from_nanos(250);
 /// (decode + validate + intern), charged in [`Replayer::compile_signed`].
 const COMPILE_EVENT_TIME: SimTime = SimTime::from_nanos(300);
 
-/// Hard cap on poll iterations regardless of what the recording asks for:
-/// a malicious (or corrupt) recording must not be able to spin the TEE.
-/// Public so the `grt-lint` analyzer can enforce the same bound statically
-/// (rule R3).
-pub const REPLAY_POLL_ITER_CAP: u32 = 10_000;
+pub use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 
 /// Replay failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +75,7 @@ pub enum ReplayError {
     /// analysis (see the `grt-lint` crate and DESIGN.md "Recording
     /// verification").
     Rejected {
-        /// The violated rule ("R1".."R6").
+        /// The violated rule ("R1".."R9").
         rule: String,
         /// The analyzer's first error finding.
         message: String,
@@ -210,7 +207,7 @@ impl Replayer {
     /// Production callers pass the `grt-lint` analyzer
     /// (`Rc::new(grt_lint::Linter::new())`); tests that deliberately need
     /// a known-bad recording past static analysis to exercise runtime
-    /// defenses pass [`crate::gate::PermissiveGate`].
+    /// defenses pass [`grt_ir::gate::PermissiveGate`].
     pub fn new(device: &ClientDevice, gate: Rc<dyn RecordingGate>) -> Self {
         Replayer {
             device_gpu: Rc::clone(&device.gpu),
@@ -300,15 +297,9 @@ impl Replayer {
                 present: sku.gpu_id,
             });
         }
-        let ir = crate::ir::lift_recording(&rec, sku.pte_quirk);
-        let ctx = GateContext {
-            sku: &sku,
-            carveout_base: 0,
-            carveout_len: self.device_mem.borrow().size() as u64,
-            poll_iter_cap: REPLAY_POLL_ITER_CAP,
-        };
+        let ir = grt_ir::lift_recording(&rec, sku.pte_quirk);
         self.gate
-            .vet(&ir, &ctx)
+            .vet(&ir, &sku)
             .map_err(|r| ReplayError::Rejected {
                 rule: r.rule,
                 message: r.message,
@@ -433,25 +424,8 @@ impl Replayer {
                 max_iters,
                 delay_us,
             } => {
-                let cond = match cond {
-                    0 => PollCond::MaskedZero,
-                    1 => PollCond::MaskedNonZero,
-                    2 => PollCond::MaskedEq(*cmp),
-                    // Unknown condition codes used to be silently coerced
-                    // to MaskedEq; a malformed event is now a typed error.
-                    _ => {
-                        return Err(ReplayError::MalformedEvent {
-                            field: "poll.cond",
-                            value: *cond as u32,
-                        })
-                    }
-                };
-                if *max_iters == 0 {
-                    return Err(ReplayError::MalformedEvent {
-                        field: "poll.max_iters",
-                        value: 0,
-                    });
-                }
+                let cond = decode_poll(*cond, *cmp, *max_iters)
+                    .map_err(|(field, value)| ReplayError::MalformedEvent { field, value })?;
                 let mut satisfied = false;
                 for _ in 0..(*max_iters).min(REPLAY_POLL_ITER_CAP) {
                     let raw = self.device_gpu.borrow_mut().read_reg(*reg);
@@ -906,8 +880,8 @@ mod tests {
     /// grt-lint gate (a dev-dependency) is covered by this crate's
     /// integration tests (`tests/lint_gate.rs`), where the dependency
     /// cycle resolves to a single build of the crate.
-    fn permissive() -> Rc<dyn crate::gate::RecordingGate> {
-        Rc::new(crate::gate::PermissiveGate)
+    fn permissive() -> Rc<dyn grt_ir::gate::RecordingGate> {
+        Rc::new(grt_ir::gate::PermissiveGate)
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! byte-buffer params, like a real GP TA.
 
 use crate::compiled::CompiledRecording;
-use crate::gate::RecordingGate;
-use crate::recording::SignedRecording;
 use crate::replay::Replayer;
 use crate::session::ClientDevice;
 use grt_crypto::{KeyPair, Signature};
+use grt_ir::gate::RecordingGate;
+use grt_ir::recording::SignedRecording;
 use grt_tee::{GpParam, GpStatus, TeeModule};
 use std::rc::Rc;
 
@@ -298,7 +298,7 @@ mod tests {
         host.register(Box::new(RefCell::new(ReplayService::new(
             &s.client,
             s.recording_key(),
-            Rc::new(crate::gate::PermissiveGate),
+            Rc::new(grt_ir::gate::PermissiveGate),
         ))));
         let session = host.open_session("grt.replay").unwrap();
         let input = test_input(&spec, 8);
@@ -318,7 +318,7 @@ mod tests {
         host.register(Box::new(RefCell::new(ReplayService::new(
             &s.client,
             s.recording_key(),
-            Rc::new(crate::gate::PermissiveGate),
+            Rc::new(grt_ir::gate::PermissiveGate),
         ))));
         let session = host.open_session("grt.replay").unwrap();
         out.recording.bytes[10] ^= 1;
@@ -338,7 +338,7 @@ mod tests {
         host.register(Box::new(RefCell::new(ReplayService::new(
             &s.client,
             s.recording_key(),
-            Rc::new(crate::gate::PermissiveGate),
+            Rc::new(grt_ir::gate::PermissiveGate),
         ))));
         let session = host.open_session("grt.replay").unwrap();
         // Run with nothing loaded.
@@ -369,7 +369,7 @@ mod tests {
         host.register(Box::new(RefCell::new(ReplayService::new(
             &s.client,
             s.recording_key(),
-            Rc::new(crate::gate::PermissiveGate),
+            Rc::new(grt_ir::gate::PermissiveGate),
         ))));
         let session = host.open_session("grt.replay").unwrap();
         // No recording loaded yet: both commands refuse.
@@ -436,7 +436,7 @@ mod tests {
         host.register(Box::new(RefCell::new(ReplayService::new(
             &s.client,
             s.recording_key(),
-            Rc::new(crate::gate::PermissiveGate),
+            Rc::new(grt_ir::gate::PermissiveGate),
         ))));
         let session = host.open_session("grt.replay").unwrap();
         // Too-short load blob.

@@ -15,11 +15,12 @@
 
 use crate::client::GpuShim;
 use crate::drivershim::{DriverShim, ShimConfig};
-use crate::recording::{DataSlot, SignedRecording};
 use grt_crypto::{AttestationReport, KeyPair};
 use grt_driver::{DriverError, JobIrqOutcome, KbaseDriver, RegionTable};
 use grt_gpu::mem::Memory;
 use grt_gpu::{Gpu, GpuSku};
+use grt_ir::gate::CLIENT_MEM_BYTES;
+use grt_ir::recording::{DataSlot, SignedRecording};
 use grt_ml::NetworkSpec;
 use grt_net::{Direction, Link, NetConditions, RadioPower};
 use grt_runtime::{compile_network_dry, CompiledNetwork};
@@ -191,15 +192,13 @@ pub fn recording_trust_root() -> KeyPair {
     KeyPair::derive(PROVISIONING_SECRET, "recording")
 }
 
-/// Client DRAM size — the protected carveout recordings may address.
-/// Public because the `grt-lint` analyzer bounds its R2/R4 containment
-/// checks with it.
-pub const CLIENT_MEM_BYTES: usize = 96 << 20;
 /// SoC base draw while the device is awake (Figure 9 calibration).
 const SOC_BASE_WATTS: f64 = 0.22;
 
 impl ClientDevice {
-    /// Builds a client device around `sku`, on the given clock.
+    /// Builds a client device around `sku`, on the given clock, with
+    /// [`CLIENT_MEM_BYTES`] of DRAM — the protected carveout recordings
+    /// may address.
     pub fn new(sku: GpuSku, clock: &Rc<Clock>, stats: &Rc<Stats>, channel_secret: &[u8]) -> Self {
         let mem = Rc::new(RefCell::new(Memory::new(CLIENT_MEM_BYTES)));
         let gpu = Rc::new(RefCell::new(Gpu::new(sku, clock, &mem)));
@@ -656,7 +655,7 @@ mod tests {
         let layers = rec
             .events
             .iter()
-            .filter(|e| matches!(e, crate::recording::Event::BeginLayer { .. }))
+            .filter(|e| matches!(e, grt_ir::recording::Event::BeginLayer { .. }))
             .count();
         assert_eq!(layers, spec.layers.len());
         assert!(out.delay > SimTime::ZERO);

@@ -1,16 +1,16 @@
 //! The replayer × grt-lint integration: recordings must pass static
 //! analysis before a single event executes.
 //!
-//! This lives in an integration test (not `src/replay.rs`'s unit tests)
-//! because of the grt-core ↔ grt-lint dev-dependency cycle: only here do
-//! both crates resolve to the same build of grt-core, making
-//! `grt_lint::Linter` usable as a `grt_core::gate::RecordingGate`.
+//! `grt_lint::Linter` implements `grt_ir::gate::RecordingGate`, the gate
+//! interface the replayer calls; grt-lint sits below grt-core, so the
+//! real analyzer plugs straight into `Replayer::new`. The gate is a trait
+//! so tests can also substitute fakes, like the counting gate below.
 
-use grt_core::gate::{GateContext, RecordingGate, Rejection};
-use grt_core::recording::{Event, SignedRecording};
 use grt_core::replay::{workload_weights, ReplayError, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
+use grt_ir::gate::{RecordingGate, Rejection};
+use grt_ir::recording::{Event, SignedRecording};
 use grt_ir::IrProgram;
 use grt_ml::reference::test_input;
 use grt_net::NetConditions;
@@ -115,10 +115,10 @@ struct CountingGate {
 }
 
 impl RecordingGate for CountingGate {
-    fn vet(&self, ir: &IrProgram, ctx: &GateContext<'_>) -> Result<(), Rejection> {
+    fn vet(&self, ir: &IrProgram, sku: &GpuSku) -> Result<(), Rejection> {
         self.calls.set(self.calls.get() + 1);
         self.steps_seen.set(ir.steps.len());
-        grt_lint::Linter::new().vet(ir, ctx)
+        grt_lint::Linter::new().vet(ir, sku)
     }
 }
 

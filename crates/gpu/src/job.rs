@@ -93,19 +93,6 @@ impl JobDescriptor {
         })
     }
 
-    /// Reads a descriptor at `va` through the GPU MMU.
-    pub fn read_via_mmu(mem: &Memory, walker: &Walker, va: u64) -> Result<Option<Self>, MmuFault> {
-        let mut raw = [0u8; DESC_SIZE];
-        for (i, byte) in raw.iter_mut().enumerate() {
-            let pa = walker.translate(mem, va + i as u64, AccessKind::Read)?;
-            let mut one = [0u8];
-            mem.read(pa, &mut one, Accessor::Gpu)
-                .map_err(|fault| MmuFault::WalkError { fault })?;
-            *byte = one[0];
-        }
-        Ok(JobDescriptor::decode(&raw))
-    }
-
     /// Reads a descriptor at `va` through the GPU MMU using the software TLB.
     ///
     /// Translates in contiguous page runs instead of once per byte: a
@@ -132,22 +119,6 @@ impl JobDescriptor {
             done += run;
         }
         Ok(JobDescriptor::decode(&raw))
-    }
-
-    /// Writes this descriptor's status word back at `va` through the MMU.
-    pub fn write_status_via_mmu(
-        mem: &mut Memory,
-        walker: &Walker,
-        va: u64,
-        status: JobStatus,
-    ) -> Result<(), MmuFault> {
-        let word = status.to_word().to_le_bytes();
-        for (i, byte) in word.iter().enumerate() {
-            let pa = walker.translate(mem, va + 32 + i as u64, AccessKind::Write)?;
-            mem.write(pa, &[*byte], Accessor::Gpu)
-                .map_err(|fault| MmuFault::WalkError { fault })?;
-        }
-        Ok(())
     }
 
     /// Writes this descriptor's status word back via the software TLB.

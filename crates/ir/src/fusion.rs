@@ -549,7 +549,8 @@ fn verify_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{CostSummary, DeltaLift, JobChain, LiftedDesc, RegClass, SlotDesc};
+    use crate::program::{CostSummary, DeltaLift, JobChain, LiftedDesc, RegClass};
+    use crate::recording::DataSlot;
     use crate::shadow::WalkSummary;
     use grt_gpu::{ConvParams, JobDescriptor, JobStatus};
     use std::rc::Rc;
@@ -776,11 +777,11 @@ mod tests {
         IrProgram {
             workload: "t".into(),
             gpu_id: 0x60A0_0001,
-            input: SlotDesc {
+            input: DataSlot {
                 pa: 0x1000,
                 len_elems: 16,
             },
-            output: SlotDesc {
+            output: DataSlot {
                 pa: 0x2000,
                 len_elems: 16,
             },
@@ -952,7 +953,7 @@ mod tests {
     #[test]
     fn slot_aliasing_intermediate_blocks_fusion() {
         let mut prog = windows(vec![conv_instr(X), add_instr(X, Y, O1)]);
-        prog.output = SlotDesc {
+        prog.output = DataSlot {
             pa: X,
             len_elems: LEN as u32,
         };

@@ -4,33 +4,32 @@
 //! The TCB inverts the usual trust direction (paper §6): the GPU stack that
 //! *produced* a recording is untrusted, so everything rides on what the TEE
 //! can check about the recording itself before touching the GPU. This
-//! module defines the interface for that check; the `grt-lint` crate
-//! provides the real implementation (rules R1–R9, see DESIGN.md
-//! "Recording verification"). Keeping only the trait here avoids a
-//! dependency cycle — lint needs core's recording types, core needs a
-//! gate.
+//! module defines the interface for that check and the two replay bounds
+//! it is judged against; the `grt-lint` crate provides the real
+//! implementation (rules R1–R9, see DESIGN.md "Recording verification").
+//! The interface is a trait so tests can substitute a fake: a
+//! [`PermissiveGate`] that lets a known-bad recording reach the
+//! replayer's runtime defenses, or a gate that counts its calls.
 //!
 //! A gate judges the recording's semantics-IR lift, not its bytes: the
 //! replayer lifts a verified recording once, and that same
-//! [`IrProgram`] is what the gate vets and what
-//! [`crate::compiled::compile_from_ir`] lowers, so the vetted program
-//! and the replayed program are one decode.
+//! [`IrProgram`] is what the gate vets and what grt-core's compiler
+//! lowers, so the vetted program and the replayed program are one decode.
 
+use crate::IrProgram;
 use grt_gpu::GpuSku;
-use grt_ir::IrProgram;
 
-/// Replay-environment facts a gate needs to judge a recording.
-#[derive(Debug, Clone, Copy)]
-pub struct GateContext<'a> {
-    /// The SKU of the GPU the recording will replay on.
-    pub sku: &'a GpuSku,
-    /// Base of the protected carveout all GPU-visible memory must stay in.
-    pub carveout_base: u64,
-    /// Length of the protected carveout in bytes.
-    pub carveout_len: u64,
-    /// The replayer's spin cap; recorded poll budgets must fit under it.
-    pub poll_iter_cap: u32,
-}
+/// Size of the client's protected carveout, which starts at physical
+/// address 0: every client device allocates exactly this much GPU-visible
+/// memory, and every GPU-visible mapping a recording makes must stay
+/// inside it.
+pub const CLIENT_MEM_BYTES: usize = 96 << 20;
+
+/// Hard cap on poll iterations regardless of what the recording asks for:
+/// a malicious (or corrupt) recording must not be able to spin the TEE.
+/// The replayer clamps every poll to it, and the `grt-lint` analyzer
+/// rejects any poll budget above it statically (rule R3).
+pub const REPLAY_POLL_ITER_CAP: u32 = 10_000;
 
 /// Why a gate refused a recording.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,10 +53,11 @@ impl core::fmt::Display for Rejection {
 
 /// An ahead-of-replay recording analyzer.
 pub trait RecordingGate {
-    /// Judges the lifted recording `ir` for replay under `ctx`. The lift
-    /// used `ctx.sku`'s PTE quirk. `Ok(())` means every safety rule
-    /// passed; `Err` carries the first violated rule.
-    fn vet(&self, ir: &IrProgram, ctx: &GateContext<'_>) -> Result<(), Rejection>;
+    /// Judges the lifted recording `ir` for replay on `sku` inside the
+    /// [`CLIENT_MEM_BYTES`] carveout under the [`REPLAY_POLL_ITER_CAP`]
+    /// spin cap. The lift used `sku`'s PTE quirk. `Ok(())` means every
+    /// safety rule passed; `Err` carries the first violated rule.
+    fn vet(&self, ir: &IrProgram, sku: &GpuSku) -> Result<(), Rejection>;
 }
 
 /// A gate that accepts everything.
@@ -70,7 +70,7 @@ pub trait RecordingGate {
 pub struct PermissiveGate;
 
 impl RecordingGate for PermissiveGate {
-    fn vet(&self, _ir: &IrProgram, _ctx: &GateContext<'_>) -> Result<(), Rejection> {
+    fn vet(&self, _ir: &IrProgram, _sku: &GpuSku) -> Result<(), Rejection> {
         Ok(())
     }
 }

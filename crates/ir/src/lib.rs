@@ -1,7 +1,9 @@
-//! grt-ir: a typed semantics IR for vetted GPU recordings.
+//! grt-ir: the recording container, its typed semantics IR, and the
+//! replay gate.
 //!
 //! The paper's safety story vets a recording *before* replay; the deeper
-//! the vetting, the stronger the story. This crate decodes a recording
+//! the vetting, the stronger the story. This crate holds the signed
+//! recording format itself ([`recording`]) and decodes a recording
 //! once — MMIO events, metastate deltas, job descriptors, and the
 //! `ShaderOp` bytecode those descriptors point at — into one analyzable
 //! structure, [`program::IrProgram`]:
@@ -13,21 +15,26 @@
 //! * [`dataflow`] computes the def-use relation over those operands;
 //! * [`dump`] renders it all as deterministic text.
 //!
-//! grt-lint proves R1–R9 over this IR, and grt-core lowers
-//! `CompiledRecording` from it, so the two never disagree about what the
-//! bytes mean. Lifting is total: malformed input becomes
-//! [`program::Anomaly`] annotations, never a lifter error.
+//! [`lift_recording`] reads a [`recording::Recording`] directly. grt-lint
+//! proves R1–R9 over the lift through the [`gate::RecordingGate`] interface
+//! the replayer calls, and grt-core lowers `CompiledRecording` from the
+//! same lift, so the two never disagree about what the bytes mean. Lifting
+//! is total: malformed input becomes [`program::Anomaly`] annotations,
+//! never a lifter error. The crate sits below the recorder, driver and
+//! runtime, so the analyzer's build pulls in none of them.
 
 #![warn(missing_docs)]
 
 pub mod dataflow;
 pub mod dump;
 pub mod fusion;
+pub mod gate;
 pub mod iset;
 pub mod lift;
 pub mod program;
+pub mod recording;
 pub mod shadow;
 
 pub use fusion::{FusionPlan, FusionSummary};
-pub use lift::{lift, EventView, LiftInput};
+pub use lift::lift_recording;
 pub use program::IrProgram;

@@ -11,13 +11,15 @@
 
 use crate::program::{
     Anomaly, CostSummary, DeltaLift, Dir, IrProgram, JobChain, LiftedDesc, Operand, RegClass,
-    SemInstr, SlotDesc, Step,
+    SemInstr, Step,
 };
+use crate::recording::{Event, Recording};
 use crate::shadow::{walk, ShadowMem, WalkSummary};
 use grt_compress::DeltaCodec;
 use grt_gpu::job::{JobDescriptor, DESC_SIZE};
 use grt_gpu::regs::{job_control as jc, mmu_control as mc};
 use grt_gpu::shader::{OpKind, ShaderOp, INSTR_SIZE};
+use grt_gpu::PAGE_SIZE;
 use std::rc::Rc;
 
 /// Descriptor hop bound, mirroring the hardware's chain cutoff.
@@ -33,91 +35,16 @@ pub const MAX_PROGRAM_INSTRS: u32 = 4096;
 /// legitimate — flagged instead of walked.
 pub const MAX_OPERAND_BYTES: u64 = 1 << 30;
 
-/// A borrowed view of one recorded event.
-///
-/// `grt-ir` sits below the crate that owns the recording container, so the
-/// lifter consumes this view; the owner converts its event type 1:1.
-#[derive(Debug, Clone, Copy)]
-pub enum EventView<'a> {
-    /// Layer marker.
-    BeginLayer {
-        /// Recorded layer index.
-        index: u32,
-    },
-    /// MMIO register write.
-    RegWrite {
-        /// Register offset.
-        offset: u32,
-        /// Value written.
-        value: u32,
-    },
-    /// MMIO register read.
-    RegRead {
-        /// Register offset.
-        offset: u32,
-        /// Recorded value.
-        value: u32,
-        /// Replay-time verification flag.
-        verify: bool,
-    },
-    /// Bounded status poll.
-    Poll {
-        /// Register polled.
-        reg: u32,
-        /// Mask applied before comparing.
-        mask: u32,
-        /// Raw condition code.
-        cond: u8,
-        /// Comparison value.
-        cmp: u32,
-        /// Iteration budget.
-        max_iters: u32,
-        /// Inter-iteration delay.
-        delay_us: u32,
-    },
-    /// Interrupt wait.
-    WaitIrq {
-        /// Raw line code.
-        line: u8,
-    },
-    /// Metastate delta.
-    LoadMemDelta {
-        /// Target physical address.
-        pa: u64,
-        /// Decoded region length.
-        len: u32,
-        /// Packed delta bytes.
-        delta: &'a [u8],
-    },
-}
-
-/// A borrowed view of a whole recording, ready to lift.
-#[derive(Debug)]
-pub struct LiftInput<'a> {
-    /// Workload name.
-    pub workload: &'a str,
-    /// Target GPU identity.
-    pub gpu_id: u32,
-    /// Input slot.
-    pub input: SlotDesc,
-    /// Output slot.
-    pub output: SlotDesc,
-    /// Weight slots in stage order.
-    pub weights: Vec<SlotDesc>,
-    /// Events in recorded order.
-    pub events: Vec<EventView<'a>>,
-}
-
 /// Lifts a recording into the semantics IR.
 ///
 /// `quirk` is the SKU's PTE decode quirk (page-table walks must match the
-/// GPU being vetted for); `page_size` keys the delta codec.
-pub fn lift(input: &LiftInput<'_>, quirk: u8, page_size: usize) -> IrProgram {
-    Lifter::new(input, quirk, page_size).run()
+/// GPU being vetted for).
+pub fn lift_recording(rec: &Recording, quirk: u8) -> IrProgram {
+    Lifter::new(rec, quirk).run()
 }
 
-struct Lifter<'a, 'b> {
-    input: &'b LiftInput<'a>,
+struct Lifter<'a> {
+    rec: &'a Recording,
     quirk: u8,
     codec: DeltaCodec,
     shadow: ShadowMem,
@@ -135,14 +62,14 @@ struct Lifter<'a, 'b> {
     walk_cache: Option<(u64, u64, Rc<WalkSummary>)>,
 }
 
-impl<'a, 'b> Lifter<'a, 'b> {
-    fn new(input: &'b LiftInput<'a>, quirk: u8, page_size: usize) -> Self {
+impl<'a> Lifter<'a> {
+    fn new(rec: &'a Recording, quirk: u8) -> Self {
         Lifter {
-            input,
+            rec,
             quirk,
-            codec: DeltaCodec::new(page_size),
+            codec: DeltaCodec::new(PAGE_SIZE),
             shadow: ShadowMem::new(),
-            steps: Vec::with_capacity(input.events.len()),
+            steps: Vec::with_capacity(rec.events.len()),
             deltas: Vec::new(),
             jobs: Vec::new(),
             cost: CostSummary::default(),
@@ -158,14 +85,15 @@ impl<'a, 'b> Lifter<'a, 'b> {
     }
 
     fn run(mut self) -> IrProgram {
-        for i in 0..self.input.events.len() {
-            let step = match self.input.events[i] {
-                EventView::BeginLayer { index } => {
+        let rec = self.rec;
+        for (i, event) in rec.events.iter().enumerate() {
+            let step = match *event {
+                Event::BeginLayer { index } => {
                     self.cost.layers += 1;
                     Step::BeginLayer { index }
                 }
-                EventView::RegWrite { offset, value } => self.on_write(i, offset, value),
-                EventView::RegRead {
+                Event::RegWrite { offset, value } => self.on_write(i, offset, value),
+                Event::RegRead {
                     offset,
                     value,
                     verify,
@@ -174,7 +102,7 @@ impl<'a, 'b> Lifter<'a, 'b> {
                     value,
                     verify,
                 },
-                EventView::Poll {
+                Event::Poll {
                     reg,
                     mask,
                     cond,
@@ -193,17 +121,17 @@ impl<'a, 'b> Lifter<'a, 'b> {
                         delay_us,
                     }
                 }
-                EventView::WaitIrq { line } => Step::WaitIrq { line },
-                EventView::LoadMemDelta { pa, len, delta } => self.on_delta(i, pa, len, delta),
+                Event::WaitIrq { line } => Step::WaitIrq { line },
+                Event::LoadMemDelta { pa, len, ref delta } => self.on_delta(i, pa, len, delta),
             };
             self.steps.push(step);
         }
         IrProgram {
-            workload: self.input.workload.to_owned(),
-            gpu_id: self.input.gpu_id,
-            input: self.input.input,
-            output: self.input.output,
-            weights: self.input.weights.clone(),
+            workload: rec.workload.clone(),
+            gpu_id: rec.gpu_id,
+            input: rec.input,
+            output: rec.output,
+            weights: rec.weights.clone(),
             steps: self.steps,
             deltas: self.deltas,
             jobs: self.jobs,
@@ -586,7 +514,42 @@ fn shape_of(op: &ShaderOp) -> Result<(Vec<OperandSpec>, u64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recording::DataSlot;
     use grt_gpu::shader::{ConvParams, PoolKind};
+
+    #[test]
+    fn view_is_index_aligned_with_events() {
+        let rec = Recording {
+            workload: "t".into(),
+            gpu_id: 1,
+            input: DataSlot {
+                pa: 0x100,
+                len_elems: 4,
+            },
+            output: DataSlot {
+                pa: 0x200,
+                len_elems: 4,
+            },
+            weights: vec![DataSlot {
+                pa: 0x300,
+                len_elems: 2,
+            }],
+            events: vec![
+                Event::BeginLayer { index: 0 },
+                Event::RegWrite {
+                    offset: 0x30,
+                    value: 1,
+                },
+                Event::WaitIrq { line: 1 },
+            ],
+        };
+        let ir = lift_recording(&rec, 0);
+        assert_eq!(ir.steps.len(), rec.events.len());
+        assert_eq!(ir.workload, "t");
+        assert_eq!(ir.input.pa, 0x100);
+        assert_eq!(ir.weights.len(), 1);
+        assert_eq!(ir.cost.layers, 1);
+    }
 
     #[test]
     fn conv_shapes_are_checked() {

@@ -17,28 +17,8 @@ use grt_gpu::shader::{OpKind, ShaderOp};
 use std::fmt;
 use std::rc::Rc;
 
+use crate::recording::DataSlot;
 use crate::shadow::WalkSummary;
-
-/// An injected data slot: `len_elems` f32 elements at physical `pa`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotDesc {
-    /// Physical base address inside the carveout.
-    pub pa: u64,
-    /// Length in f32 elements.
-    pub len_elems: u32,
-}
-
-impl SlotDesc {
-    /// Byte length of the slot.
-    pub fn bytes(&self) -> u64 {
-        self.len_elems as u64 * 4
-    }
-
-    /// Half-open byte range `[pa, pa + bytes)`.
-    pub fn range(&self) -> (u64, u64) {
-        (self.pa, self.pa + self.bytes())
-    }
-}
 
 /// Which register block an MMIO offset falls in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,11 +345,11 @@ pub struct IrProgram {
     /// GPU identity the recording targets.
     pub gpu_id: u32,
     /// Input slot.
-    pub input: SlotDesc,
+    pub input: DataSlot,
     /// Output slot.
-    pub output: SlotDesc,
+    pub output: DataSlot,
     /// Weight slots in stage order.
-    pub weights: Vec<SlotDesc>,
+    pub weights: Vec<DataSlot>,
     /// One step per recorded event, index-aligned.
     pub steps: Vec<Step>,
     /// Decoded metastate deltas, in event order.
@@ -403,15 +383,5 @@ mod tests {
         );
         // One past the last window falls back to GpuCtrl.
         assert_eq!(RegClass::classify(jc::slot_base(16)), RegClass::GpuCtrl);
-    }
-
-    #[test]
-    fn slot_ranges() {
-        let s = SlotDesc {
-            pa: 0x1000,
-            len_elems: 8,
-        };
-        assert_eq!(s.bytes(), 32);
-        assert_eq!(s.range(), (0x1000, 0x1020));
     }
 }

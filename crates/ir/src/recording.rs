@@ -12,7 +12,6 @@
 //! replayer's TCB should not pull in a serialization framework.
 
 use grt_crypto::{KeyPair, Signature};
-use grt_driver::{PollCond, PollSpec};
 use grt_gpu::IrqLine;
 
 /// One recorded CPU/GPU interaction.
@@ -90,23 +89,6 @@ pub fn irq_line_from(code: u8) -> Option<IrqLine> {
     }
 }
 
-/// Converts a driver [`PollSpec`] into event fields.
-pub fn poll_event(spec: &PollSpec) -> Event {
-    let (cond, cmp) = match spec.cond {
-        PollCond::MaskedZero => (0u8, 0u32),
-        PollCond::MaskedNonZero => (1, 0),
-        PollCond::MaskedEq(v) => (2, v),
-    };
-    Event::Poll {
-        reg: spec.reg,
-        mask: spec.mask,
-        cond,
-        cmp,
-        max_iters: spec.max_iters,
-        delay_us: spec.delay_us as u32,
-    }
-}
-
 /// A data slot the replayer fills before replaying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataSlot {
@@ -114,6 +96,18 @@ pub struct DataSlot {
     pub pa: u64,
     /// Length in f32 elements.
     pub len_elems: u32,
+}
+
+impl DataSlot {
+    /// Byte length of the slot.
+    pub fn bytes(&self) -> u64 {
+        self.len_elems as u64 * 4
+    }
+
+    /// Half-open byte range `[pa, pa + bytes)`.
+    pub fn range(&self) -> (u64, u64) {
+        (self.pa, self.pa + self.bytes())
+    }
 }
 
 /// A complete workload recording.
@@ -263,11 +257,6 @@ impl Recording {
             weights,
             events,
         })
-    }
-
-    /// Serialized size in bytes (what the client downloads).
-    pub fn size_bytes(&self) -> usize {
-        self.to_bytes().len()
     }
 }
 
@@ -525,6 +514,16 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    fn slot_ranges() {
+        let s = DataSlot {
+            pa: 0x1000,
+            len_elems: 8,
+        };
+        assert_eq!(s.bytes(), 32);
+        assert_eq!(s.range(), (0x1000, 0x1020));
     }
 
     #[test]

@@ -28,65 +28,40 @@
 //! meaningless over chains that could not be resolved). A passing report
 //! carries the [`report::CertifiedBudget`] R9 measured.
 //!
-//! The analyzer is wired into [`grt_core::replay::Replayer`] through the
-//! [`grt_core::gate::RecordingGate`] trait, into the serving registry
-//! (verdicts and budgets cached per entry), and into the `recording-lint`
-//! CLI.
+//! The analyzer is the replayer's [`grt_ir::gate::RecordingGate`], the
+//! serving registry's insert-time check (verdicts and budgets cached per
+//! entry), and the `recording-lint` CLI. It judges against the replay
+//! bounds [`grt_ir::gate`] defines — the
+//! [`CLIENT_MEM_BYTES`](grt_ir::gate::CLIENT_MEM_BYTES) carveout at
+//! physical address 0 and the
+//! [`REPLAY_POLL_ITER_CAP`](grt_ir::gate::REPLAY_POLL_ITER_CAP) spin cap — so the
+//! analyzer and the replayer share one bound each. The crate depends only
+//! on the layers below the lifter (no recorder, driver or runtime), which
+//! keeps the in-TEE gate's build small.
 
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod shadow;
 pub mod whitelist;
 
 mod pass;
 
 pub use report::{CertifiedBudget, Diagnostic, LintReport, Rule, Severity};
 
-use grt_core::gate::{GateContext, RecordingGate, Rejection};
-use grt_core::recording::Recording;
 use grt_gpu::GpuSku;
+use grt_ir::gate::{RecordingGate, Rejection};
+use grt_ir::recording::Recording;
 use grt_ir::IrProgram;
 use grt_ml::NetworkSpec;
 
-/// Tunable bounds for a lint run.
-#[derive(Debug, Clone, Copy)]
-pub struct LintConfig {
-    /// Base of the protected carveout (client DRAM base).
-    pub carveout_base: u64,
-    /// Length of the protected carveout in bytes.
-    pub carveout_len: u64,
-    /// Maximum poll budget a recording may ask for (R3); defaults to the
-    /// replayer's own spin cap so lint and replay agree.
-    pub poll_iter_cap: u32,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            carveout_base: 0,
-            carveout_len: grt_core::session::CLIENT_MEM_BYTES as u64,
-            poll_iter_cap: grt_core::replay::REPLAY_POLL_ITER_CAP,
-        }
-    }
-}
-
-/// The analyzer. Stateless between runs; cheap to construct.
+/// The analyzer. Stateless; cheap to construct.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Linter {
-    /// Bounds the rules check against.
-    pub cfg: LintConfig,
-}
+pub struct Linter;
 
 impl Linter {
-    /// A linter with the default (production replayer) bounds.
+    /// A linter with the production replayer's bounds.
     pub fn new() -> Self {
-        Linter::default()
-    }
-
-    /// A linter with explicit bounds.
-    pub fn with_config(cfg: LintConfig) -> Self {
-        Linter { cfg }
+        Linter
     }
 
     /// Runs all nine rules over `rec` for `sku`, consulting `spec` for the
@@ -96,27 +71,21 @@ impl Linter {
     /// lift (the replayer and the serving registry lift once for lint
     /// *and* compile) use [`Linter::lint_ir`].
     pub fn lint(&self, rec: &Recording, sku: &GpuSku, spec: Option<&NetworkSpec>) -> LintReport {
-        let ir = grt_core::ir::lift_recording(rec, sku.pte_quirk);
+        let ir = grt_ir::lift_recording(rec, sku.pte_quirk);
         self.lint_ir(&ir, sku, spec)
     }
 
     /// Runs all nine rules over an already-lifted recording. The lift must
     /// have used `sku`'s PTE quirk (page-table walks must match the GPU
-    /// being vetted for) — [`grt_core::ir::lift_recording`] does.
+    /// being vetted for) — [`grt_ir::lift_recording`] does.
     pub fn lint_ir(&self, ir: &IrProgram, sku: &GpuSku, spec: Option<&NetworkSpec>) -> LintReport {
-        pass::Pass::new(ir, sku, spec, &self.cfg).run()
+        pass::Pass::new(ir, sku, spec).run()
     }
 }
 
 impl RecordingGate for Linter {
-    fn vet(&self, ir: &IrProgram, ctx: &GateContext<'_>) -> Result<(), Rejection> {
-        let cfg = LintConfig {
-            carveout_base: ctx.carveout_base,
-            carveout_len: ctx.carveout_len,
-            poll_iter_cap: ctx.poll_iter_cap,
-        };
-        let report = Linter { cfg }.lint_ir(ir, ctx.sku, None);
-        match report.first_error() {
+    fn vet(&self, ir: &IrProgram, sku: &GpuSku) -> Result<(), Rejection> {
+        match self.lint_ir(ir, sku, None).first_error() {
             None => Ok(()),
             Some(d) => Err(Rejection {
                 rule: d.rule.id().to_owned(),

@@ -1,7 +1,7 @@
 //! The rule pass over a recording's lifted semantics IR.
 //!
 //! Since the IR landed, the pass no longer re-derives machine state from
-//! raw events: the lifter (`grt_ir::lift`) already decoded register
+//! raw events: the lifter (`grt_ir::lift_recording`) already decoded register
 //! windows, TRANSTAB latching, page-table walks, job chains and shader
 //! operands, all index-aligned with the event stream. What remains here is
 //! *policy*: the whitelist and value constraints (R1), the carveout bounds
@@ -16,17 +16,17 @@
 
 use crate::report::{CertifiedBudget, Diagnostic, LintReport, Rule, Severity};
 use crate::whitelist;
-use crate::LintConfig;
 use grt_gpu::regs::{gpu_control as gc, job_control as jc, mmu_control as mc};
 use grt_gpu::{GpuSku, PAGE_SIZE};
 use grt_ir::dataflow::{self, FindingKind};
+use grt_ir::gate::{CLIENT_MEM_BYTES, REPLAY_POLL_ITER_CAP};
 use grt_ir::program::{Dir, JobChain, RegClass, Step};
 use grt_ir::shadow::WalkSummary;
 use grt_ir::IrProgram;
 use grt_ml::NetworkSpec;
 use std::collections::BTreeSet;
 
-/// Interrupt-line indices (wire codes from `recording::irq_line_code`).
+/// Interrupt-line indices (wire codes from `grt_ir::recording::irq_line_code`).
 const LINE_GPU: usize = 0;
 const LINE_JOB: usize = 1;
 const LINE_MMU: usize = 2;
@@ -52,11 +52,17 @@ const GPU_IRQ_RAISERS: &[u32] = &[
     gc::CMD_CLEAN_INV_CACHES,
 ];
 
+/// Whether `[pa, pa + len)` lies inside the protected carveout, which
+/// starts at physical address 0.
+fn in_carveout(pa: u64, len: u64) -> bool {
+    pa.checked_add(len)
+        .is_some_and(|e| e <= CLIENT_MEM_BYTES as u64)
+}
+
 pub(crate) struct Pass<'a> {
     ir: &'a IrProgram,
     sku: &'a GpuSku,
     spec: Option<&'a NetworkSpec>,
-    cfg: &'a LintConfig,
     diags: Vec<Diagnostic>,
     prfcnt_lo: u32,
     prfcnt_hi: u32,
@@ -71,17 +77,11 @@ pub(crate) struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    pub(crate) fn new(
-        ir: &'a IrProgram,
-        sku: &'a GpuSku,
-        spec: Option<&'a NetworkSpec>,
-        cfg: &'a LintConfig,
-    ) -> Self {
+    pub(crate) fn new(ir: &'a IrProgram, sku: &'a GpuSku, spec: Option<&'a NetworkSpec>) -> Self {
         Pass {
             ir,
             sku,
             spec,
-            cfg,
             diags: Vec::new(),
             prfcnt_lo: 0,
             prfcnt_hi: 0,
@@ -159,12 +159,6 @@ impl<'a> Pass<'a> {
         self.diag(rule, Severity::Error, Some(event), message);
     }
 
-    fn in_carveout(&self, pa: u64, len: u64) -> bool {
-        let base = self.cfg.carveout_base;
-        let end = base + self.cfg.carveout_len;
-        pa >= base && pa.checked_add(len).is_some_and(|e| e <= end)
-    }
-
     // --- header (R1 identity, R4 slots/shape) ---------------------------
 
     fn check_header(&mut self) {
@@ -204,7 +198,7 @@ impl<'a> Pass<'a> {
                 );
                 continue;
             }
-            if !self.in_carveout(slot.pa, bytes) {
+            if !in_carveout(slot.pa, bytes) {
                 self.diag(
                     Rule::R4SlotShape,
                     Severity::Error,
@@ -387,7 +381,7 @@ impl<'a> Pass<'a> {
                         self.prfcnt_hi = value;
                     }
                     let base = (self.prfcnt_hi as u64) << 32 | self.prfcnt_lo as u64;
-                    if base != 0 && !self.in_carveout(base, PAGE_SIZE as u64) {
+                    if base != 0 && !in_carveout(base, PAGE_SIZE as u64) {
                         self.error(
                             Rule::R1RegisterWhitelist,
                             i,
@@ -446,7 +440,7 @@ impl<'a> Pass<'a> {
                     }
                     if let Some(root) = root_latched {
                         if root != 0
-                            && (!self.in_carveout(root, PAGE_SIZE as u64)
+                            && (!in_carveout(root, PAGE_SIZE as u64)
                                 || !root.is_multiple_of(PAGE_SIZE as u64))
                         {
                             self.error(
@@ -518,7 +512,7 @@ impl<'a> Pass<'a> {
         }
         let tables: BTreeSet<u64> = summary.tables.iter().copied().collect();
         for &table_pa in &tables {
-            if !self.in_carveout(table_pa, PAGE_SIZE as u64) {
+            if !in_carveout(table_pa, PAGE_SIZE as u64) {
                 self.error(
                     Rule::R2PageTableReachability,
                     i,
@@ -531,7 +525,7 @@ impl<'a> Pass<'a> {
         let mut aliases = 0usize;
         let mut first_alias = None;
         for &(va, pa, flags) in &summary.leaves {
-            if !self.in_carveout(pa, PAGE_SIZE as u64) {
+            if !in_carveout(pa, PAGE_SIZE as u64) {
                 escapes += 1;
                 if first_escape.is_none() {
                     first_escape = Some((va, pa));
@@ -618,13 +612,13 @@ impl<'a> Pass<'a> {
                 i,
                 "poll with a zero iteration budget can never succeed".to_owned(),
             );
-        } else if max_iters > self.cfg.poll_iter_cap {
+        } else if max_iters > REPLAY_POLL_ITER_CAP {
             self.error(
                 Rule::R3Termination,
                 i,
                 format!(
                     "poll budget {max_iters} exceeds the replayer's spin cap ({})",
-                    self.cfg.poll_iter_cap
+                    REPLAY_POLL_ITER_CAP
                 ),
             );
         }
@@ -678,7 +672,7 @@ impl<'a> Pass<'a> {
         if len == 0 {
             return;
         }
-        if !self.in_carveout(pa, len) {
+        if !in_carveout(pa, len) {
             self.error(
                 Rule::R2PageTableReachability,
                 i,
@@ -838,7 +832,7 @@ impl<'a> Pass<'a> {
     /// crosses the ceiling. Returns the certified budget when within it.
     fn check_envelope(&mut self) -> Option<CertifiedBudget> {
         let env = self.sku.cost_envelope();
-        let cap = self.cfg.poll_iter_cap as u64;
+        let cap = REPLAY_POLL_ITER_CAP as u64;
 
         let mut poll_total = 0u64;
         let mut poll_excess_at = None;

@@ -218,16 +218,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retransmits (fail on first loss).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
 /// How a delivery attempt sequence played out (internal).
 struct Schedule {
     /// Total time spent waiting out retransmission timeouts.
@@ -314,11 +304,6 @@ impl Link {
     /// Replaces the retransmission policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         self.policy.set(policy);
-    }
-
-    /// The current retransmission policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy.get()
     }
 
     /// Replaces the link conditions (used by the network sweep example).

@@ -81,7 +81,6 @@ use grt_core::ReplayService;
 use grt_gpu::GpuSku;
 use grt_ml::reference::test_input;
 use grt_ml::NetworkSpec;
-use grt_net::NetConditions;
 use grt_sim::{Clock, Crash, FaultPlan, SimTime, Stats};
 use grt_tee::TeeHost;
 use std::cell::RefCell;
@@ -164,12 +163,6 @@ impl FleetConfig {
             max_batch: 1,
             event_log_cap: usize::MAX,
         }
-    }
-
-    /// Overrides the registry's cold-start link conditions.
-    pub fn with_conditions(mut self, conditions: NetConditions) -> Self {
-        self.registry.conditions = conditions;
-        self
     }
 
     /// Attaches `plan` to both fault surfaces: the serving timeline
@@ -411,11 +404,6 @@ impl Fleet {
     /// Releases the registry (to carry a warmed cache into another fleet).
     pub fn into_registry(self) -> RecordingRegistry {
         self.registry
-    }
-
-    /// Registry counters (hits/misses/evictions so far).
-    pub fn registry_stats(&self) -> crate::registry::RegistryStats {
-        self.registry.stats()
     }
 
     /// Per-shard registry counters, in shard order.

@@ -22,14 +22,14 @@
 //! by key).
 
 use grt_attest::{AttestationExport, ExportEntry, ProvenanceRecord, VerifyError};
-use grt_core::recording::SignedRecording;
-use grt_core::replay::REPLAY_POLL_ITER_CAP;
 use grt_core::session::{
     recording_trust_root, RecordError, RecordSession, RecorderMode, PROVISIONING_SECRET,
 };
 use grt_core::CompiledRecording;
 use grt_crypto::Sha256;
 use grt_gpu::GpuSku;
+use grt_ir::gate::REPLAY_POLL_ITER_CAP;
+use grt_ir::recording::SignedRecording;
 use grt_lint::{LintReport, Linter};
 use grt_ml::NetworkSpec;
 use grt_net::NetConditions;
@@ -560,7 +560,7 @@ fn vet(
     // Lift the recording to the semantics IR exactly once: the static
     // analysis proves R1-R9 over it, and the compiled form lowers from
     // it — both consume the same decode of the same bytes.
-    let ir = grt_core::ir::lift_recording(&parsed, sku.pte_quirk);
+    let ir = grt_ir::lift_recording(&parsed, sku.pte_quirk);
     let report = Linter::new().lint_ir(&ir, sku, Some(spec));
     stats.linted_inserts += 1;
     if let Some(d) = report.first_error() {
@@ -897,7 +897,7 @@ mod tests {
 
     #[test]
     fn insert_refuses_recording_that_fails_lint() {
-        use grt_core::recording::Event;
+        use grt_ir::recording::Event;
         let mut r = registry(4);
         let spec = grt_ml::zoo::mnist();
         let sku = GpuSku::mali_g71_mp8();
@@ -910,7 +910,7 @@ mod tests {
             offset: 0x4000,
             value: 0xDEAD,
         });
-        let evil = grt_core::recording::SignedRecording::sign(&rec, &key);
+        let evil = grt_ir::recording::SignedRecording::sign(&rec, &key);
         // Ship it with a formally valid provenance record: the lint gate
         // still refuses it first.
         let prov = ProvenanceRecord::build(

@@ -358,13 +358,6 @@ impl FaultPlan {
             .fold(1.0, f64::max)
     }
 
-    /// Whether any loss burst, spike, or partition is active at `t`
-    /// (used by the link to skip fault-stream RNG draws entirely on
-    /// quiet timelines, keeping them byte-identical to no-plan runs).
-    pub fn link_fault_at(&self, t: SimTime) -> bool {
-        self.partitioned_at(t) || self.loss_at(t) > 0.0 || self.rtt_multiplier_at(t) > 1.0
-    }
-
     /// Human-readable one-line summary for bench banners.
     pub fn summary(&self) -> String {
         format!(

@@ -14,7 +14,7 @@ use grt_gpu::GpuSku;
 use grt_net::NetConditions;
 use grt_sim::{Clock, Stats};
 
-fn record(sku: GpuSku) -> grt_core::recording::Recording {
+fn record(sku: GpuSku) -> grt_ir::recording::Recording {
     let mut s = RecordSession::new(sku, NetConditions::wifi(), RecorderMode::OursMDS);
     let out = s.record(&grt_ml::zoo::mnist()).expect("record");
     out.recording

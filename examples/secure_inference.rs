@@ -12,11 +12,11 @@
 //!
 //! Run: `cargo run --release --example secure_inference`
 
-use grt_core::recording::SignedRecording;
 use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_crypto::KeyPair;
 use grt_gpu::GpuSku;
+use grt_ir::recording::SignedRecording;
 use grt_ml::reference::test_input;
 use grt_net::NetConditions;
 use grt_runtime::NativeStack;

@@ -81,7 +81,7 @@ fn main() {
     let rec = outcome.recording.verify_and_parse(&key).expect("parse");
     let mut forged = rec.clone();
     forged.gpu_id = GpuSku::mali_g71_mp4().gpu_id; // Lie about the SKU.
-    let resigned = grt_core::recording::SignedRecording::sign(&forged, &key);
+    let resigned = grt_ir::recording::SignedRecording::sign(&forged, &key);
     let result = r.replay(&resigned, &key, &input, &weights);
     match &result {
         Ok((out, _)) => {

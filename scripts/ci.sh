@@ -16,6 +16,19 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Layering gate: the recording container, the lifter and the analyzer sit
+# below the recorder, the driver, the runtime and the replayer, so the
+# in-TEE gate's build stays small (DESIGN.md §3). Neither grt-ir nor
+# grt-lint may depend, even transitively, on a crate above them.
+echo "==> dependency direction: grt-ir and grt-lint stay below grt-core"
+for PKG in grt-ir grt-lint; do
+    if cargo tree --offline -e normal -p "$PKG" --prefix none |
+        grep -E '^grt-(core|driver|runtime|net|tee|attest|serve) '; then
+        echo "ci: $PKG depends on a crate above the lifter (listed above)" >&2
+        exit 1
+    fi
+done
+
 echo "==> tier-1 verify: cargo build --release"
 cargo build --release
 

@@ -12,7 +12,8 @@
 //!   wipe after any replay must leave the carveout all zero.
 
 use grt_core::replay::{workload_weights, Replayer};
-use grt_core::session::{ClientDevice, RecordSession, RecorderMode, CLIENT_MEM_BYTES};
+use grt_core::session::{ClientDevice, RecordSession, RecorderMode};
+use grt_ir::gate::CLIENT_MEM_BYTES;
 use grt_ml::reference::test_input;
 use std::rc::Rc;
 

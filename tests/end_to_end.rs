@@ -117,9 +117,9 @@ fn recording_survives_serialization_round_trip() {
     let key = session.recording_key();
     // Parse, re-serialize, re-sign: the replayer accepts the round trip.
     let rec = out.recording.verify_and_parse(&key).expect("parse");
-    let rec2 = grt_core::recording::Recording::from_bytes(&rec.to_bytes()).expect("reparse");
+    let rec2 = grt_ir::recording::Recording::from_bytes(&rec.to_bytes()).expect("reparse");
     assert_eq!(rec, rec2);
-    let resigned = grt_core::recording::SignedRecording::sign(&rec2, &key);
+    let resigned = grt_ir::recording::SignedRecording::sign(&rec2, &key);
     let mut replayer = Replayer::new(&session.client, std::rc::Rc::new(grt_lint::Linter::new()));
     let input = test_input(&spec, 9);
     let weights = workload_weights(&spec);
@@ -190,7 +190,7 @@ fn per_sku_recordings_differ() {
 
 #[test]
 fn recording_persists_through_sealed_storage() {
-    use grt_core::recording::SignedRecording;
+    use grt_ir::recording::SignedRecording;
     use grt_tee::SecureStorage;
     let spec = grt_ml::zoo::mnist();
     let mut session = RecordSession::new(

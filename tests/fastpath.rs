@@ -620,8 +620,9 @@ fn random_spec(seed: u64) -> grt_ml::NetworkSpec {
 /// grt-lint proves R1–R9 over is the one the fast path executes.
 #[test]
 fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
-    use grt_core::replay::{workload_weights, Replayer, REPLAY_POLL_ITER_CAP};
+    use grt_core::replay::{workload_weights, Replayer};
     use grt_core::session::{RecordSession, RecorderMode};
+    use grt_ir::gate::REPLAY_POLL_ITER_CAP;
     use grt_ml::reference::test_input;
 
     let mut specs = grt_ml::zoo::all_benchmarks();
@@ -639,7 +640,7 @@ fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
             .verify_and_parse(&key)
             .expect("recording verifies");
         // The explicit tentpole path: lift once, lower the lift.
-        let ir = grt_core::ir::lift_recording(&rec, quirk);
+        let ir = grt_ir::lift_recording(&rec, quirk);
         let compiled = grt_core::compiled::compile_from_ir(&rec, ir, REPLAY_POLL_ITER_CAP)
             .expect("well-formed recording lowers");
         let weights = workload_weights(spec);

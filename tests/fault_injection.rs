@@ -91,7 +91,7 @@ fn remote_job_fault_is_surfaced() {
 /// errors with IrqHang.
 #[test]
 fn replay_detects_interrupt_hang() {
-    use grt_core::recording::{Event, Recording, SignedRecording};
+    use grt_ir::recording::{Event, Recording, SignedRecording};
     let spec = grt_ml::zoo::mnist();
     let mut s = session();
     let out = s.record(&spec).expect("record");
@@ -108,7 +108,7 @@ fn replay_detects_interrupt_hang() {
         .iter()
         .any(|e| matches!(e, Event::WaitIrq { .. })));
     let hung = SignedRecording::sign(&rec, &key);
-    let mut r = Replayer::new(&s.client, std::rc::Rc::new(grt_core::gate::PermissiveGate));
+    let mut r = Replayer::new(&s.client, std::rc::Rc::new(grt_ir::gate::PermissiveGate));
     let err = r
         .replay(&hung, &key, &test_input(&spec, 0), &workload_weights(&spec))
         .unwrap_err();
@@ -119,7 +119,7 @@ fn replay_detects_interrupt_hang() {
 /// is caught by the decoder (defense in depth below the signature).
 #[test]
 fn replay_detects_corrupt_delta() {
-    use grt_core::recording::{Event, Recording, SignedRecording};
+    use grt_ir::recording::{Event, Recording, SignedRecording};
     let spec = grt_ml::zoo::mnist();
     let mut s = session();
     let out = s.record(&spec).expect("record");
@@ -137,7 +137,7 @@ fn replay_detects_corrupt_delta() {
     }
     assert!(corrupted, "no delta to corrupt");
     let evil = SignedRecording::sign(&rec, &key);
-    let mut r = Replayer::new(&s.client, std::rc::Rc::new(grt_core::gate::PermissiveGate));
+    let mut r = Replayer::new(&s.client, std::rc::Rc::new(grt_ir::gate::PermissiveGate));
     let err = r
         .replay(&evil, &key, &test_input(&spec, 0), &workload_weights(&spec))
         .unwrap_err();
@@ -337,8 +337,8 @@ fn chaos_soak_survives_random_fault_plans_part4() {
 /// compromised cloud could reach even with valid signatures.
 #[test]
 fn replayer_survives_arbitrary_signed_recordings() {
-    use grt_core::recording::{DataSlot, Event, Recording, SignedRecording};
     use grt_crypto::KeyPair;
+    use grt_ir::recording::{DataSlot, Event, Recording, SignedRecording};
     use grt_sim::Rng;
     let clock = grt_sim::Clock::new();
     let stats = grt_sim::Stats::new();
@@ -400,7 +400,7 @@ fn replayer_survives_arbitrary_signed_recordings() {
             events,
         };
         let signed = SignedRecording::sign(&rec, &key);
-        let mut replayer = Replayer::new(&device, std::rc::Rc::new(grt_core::gate::PermissiveGate));
+        let mut replayer = Replayer::new(&device, std::rc::Rc::new(grt_ir::gate::PermissiveGate));
         // Must terminate with Ok or a clean error; panics/hangs fail the test.
         let _ = replayer.replay::<Vec<f32>>(&signed, &key, &[0.0; 4], &[]);
     }

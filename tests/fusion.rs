@@ -14,8 +14,9 @@
 //!   count shrinking.
 
 use grt_core::compiled::{compile_from_ir_opts, CompiledRecording};
-use grt_core::replay::{workload_weights, Replayer, REPLAY_POLL_ITER_CAP};
+use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordOutcome, RecordSession, RecorderMode};
+use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ml::reference::test_input;
 use grt_ml::NetworkSpec;
 use std::rc::Rc;
@@ -154,7 +155,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 /// The event-for-event lowering of the same recording, fusion off.
 fn unfused_of(s: &RecordSession, out: &RecordOutcome) -> CompiledRecording {
     let rec = out.recording.verify_and_parse(&s.recording_key()).unwrap();
-    let ir = grt_core::ir::lift_recording(&rec, s.client.gpu.borrow().sku().pte_quirk);
+    let ir = grt_ir::lift_recording(&rec, s.client.gpu.borrow().sku().pte_quirk);
     compile_from_ir_opts(&rec, ir, REPLAY_POLL_ITER_CAP, false).unwrap()
 }
 
@@ -292,7 +293,7 @@ fn layered_replay_runs_fused_across_the_zoo() {
         let mut mem = s.client.mem.borrow_mut();
         mem.wipe();
         assert!(
-            mem.dump_range(0, grt_core::session::CLIENT_MEM_BYTES)
+            mem.dump_range(0, grt_ir::gate::CLIENT_MEM_BYTES)
                 .iter()
                 .all(|&b| b == 0),
             "{}: carveout not scrubbed",

@@ -4,14 +4,19 @@
 //! surgical mutation — the kind of recording a compromised cloud stack
 //! could ship — then asserts the analyzer flags it with *exactly* the
 //! intended rule (no collateral diagnostics from other rules, which would
-//! hint the rules overlap or misattribute). A final pair of tests pins the
-//! other direction: all six zoo networks lint clean (no false positives),
+//! hint the rules overlap or misattribute). Two boundary tests pin the
+//! bounds the analyzer and the replayer share: the poll spin cap (R3) and
+//! the carveout size (R4) are one constant each, so a recording exactly at
+//! either bound passes both, and one past it fails both. A final pair of
+//! tests pins the other direction: all six zoo networks lint clean (no false positives),
 //! and the JSON report is byte-identical across runs (auditable evidence).
 
-use grt_core::recording::{Event, Recording, SignedRecording};
+use grt_core::replay::{ReplayError, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::regs::{job_control as jc, mmu_control as mc};
 use grt_gpu::GpuSku;
+use grt_ir::gate::{CLIENT_MEM_BYTES, REPLAY_POLL_ITER_CAP};
+use grt_ir::recording::{Event, Recording, SignedRecording};
 use grt_lint::{Linter, Rule, Severity};
 use grt_net::NetConditions;
 
@@ -162,6 +167,64 @@ fn r4_overlapping_data_slots() {
     // attacker-controlled input masquerade as model weights.
     rec.weights[0].pa = rec.input.pa;
     assert_trips_exactly(&rec, Rule::R4SlotShape);
+}
+
+/// Judges `rec` twice: with [`Linter::lint`], and through the replayer's
+/// gate when `s`'s replayer loads the re-signed recording. Returns the
+/// rules of the lint report's errors and the rule the replayer rejected
+/// with (`None` when the recording loads).
+fn lint_and_load(s: &RecordSession, rec: &Recording) -> (Vec<&'static str>, Option<String>) {
+    let errors = lint(rec)
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.rule.id())
+        .collect();
+    let key = s.recording_key();
+    let mut replayer = Replayer::new(&s.client, std::rc::Rc::new(Linter::new()));
+    let rejected = match replayer.compile_signed(&SignedRecording::sign(rec, &key), &key) {
+        Ok(_) => None,
+        Err(ReplayError::Rejected { rule, .. }) => Some(rule),
+        Err(other) => panic!("load failed outside the gate: {other}"),
+    };
+    (errors, rejected)
+}
+
+/// R3's per-poll bound is the replayer's spin cap: a budget of exactly
+/// `REPLAY_POLL_ITER_CAP` passes lint and the replayer's gate, and one
+/// iteration more fails both.
+#[test]
+fn r3_poll_budget_bound_is_the_replay_spin_cap() {
+    let (s, signed) = record(&grt_ml::zoo::mnist());
+    let mut rec = signed.verify_and_parse(&s.recording_key()).unwrap();
+    let poll = rec
+        .events
+        .iter()
+        .position(|e| matches!(e, Event::Poll { .. }))
+        .expect("a poll");
+    let set_budget = |rec: &mut Recording, budget: u32| {
+        if let Event::Poll { max_iters, .. } = &mut rec.events[poll] {
+            *max_iters = budget;
+        }
+    };
+    set_budget(&mut rec, REPLAY_POLL_ITER_CAP);
+    assert_eq!(lint_and_load(&s, &rec), (vec![], None));
+    set_budget(&mut rec, REPLAY_POLL_ITER_CAP + 1);
+    assert_eq!(lint_and_load(&s, &rec), (vec!["R3"], Some("R3".into())));
+}
+
+/// R4's slot bound is the client carveout: a slot that ends exactly at
+/// `CLIENT_MEM_BYTES` passes lint and the replayer's gate, and a slot one
+/// element further fails both.
+#[test]
+fn r4_slot_bound_is_the_client_carveout() {
+    let (s, signed) = record(&grt_ml::zoo::mnist());
+    let mut rec = signed.verify_and_parse(&s.recording_key()).unwrap();
+    rec.output.pa = CLIENT_MEM_BYTES as u64 - rec.output.bytes();
+    assert_eq!(rec.output.range().1, CLIENT_MEM_BYTES as u64);
+    assert_eq!(lint_and_load(&s, &rec), (vec![], None));
+    rec.output.pa += 4; // one f32 element past the end
+    assert_eq!(lint_and_load(&s, &rec), (vec!["R4"], Some("R4".into())));
 }
 
 #[test]

@@ -229,7 +229,7 @@ fn poll_cond_partition() {
 /// Recording byte format round-trips arbitrary event mixes.
 #[test]
 fn recording_format_round_trips() {
-    use grt_core::recording::{DataSlot, Event, Recording};
+    use grt_ir::recording::{DataSlot, Event, Recording};
     cases(64, 0xC0DE_000C, |rng| {
         let n_offsets = 1 + rng.gen_range(39) as usize;
         let mut events = Vec::new();

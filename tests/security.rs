@@ -123,7 +123,7 @@ fn replayer_rejects_unsigned_and_resigned_recordings() {
     // Signature from a key the TEE does not trust.
     let rec = out.recording.verify_and_parse(&key).unwrap();
     let rogue = KeyPair::derive(b"rogue", "recording");
-    let forged = grt_core::recording::SignedRecording::sign(&rec, &rogue);
+    let forged = grt_ir::recording::SignedRecording::sign(&rec, &rogue);
     assert!(replayer.replay(&forged, &key, &input, &weights).is_err());
 }
 
