@@ -8,7 +8,8 @@
 //! 1. records once (full `OursMDS` recorder over WiFi, warm methodology);
 //! 2. lowers the signed recording once with `Replayer::compile_signed`,
 //!    measuring the one-time compile cost (DESIGN.md §9);
-//! 3. replays the same input through the interpreted path and the
+//! 3. replays the same input through one-shot `Replayer::replay` (the
+//!    unfused lowering, charged at the interpreted prices) and the
 //!    compiled path, asserting the outputs are bit-for-bit identical;
 //! 4. reports per-event and per-replay costs for both paths, split into
 //!    replayer *overhead* (decode + validate + delta work — what the

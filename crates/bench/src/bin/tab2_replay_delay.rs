@@ -71,6 +71,5 @@ fn main() {
         "replay is {avg:.0}% faster than native on average (paper: 25% lower, \
          ranging from 68% lower to 3% higher)"
     );
-    println!("the advantage comes from removing the GPU stack's CPU overhead;");
-    println!("large NNs converge to GPU-bound parity, as in the paper.");
+    println!("the advantage comes from removing the GPU stack's CPU overhead.");
 }

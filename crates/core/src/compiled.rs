@@ -1,10 +1,8 @@
-//! Compiled recordings: the fast replay path (DESIGN.md §9).
+//! Compiled recordings: the one form every replay runs (DESIGN.md §9).
 //!
 //! Replay is GR-T's steady state — a recording is made once and replayed
-//! many times with fresh inputs (§2, §5) — yet the interpreted path
-//! re-decodes every event, re-resolves register offsets, and re-walks every
-//! delta's wire format on every run. A [`CompiledRecording`] is lowered
-//! from a parsed [`Recording`] exactly once, at load time:
+//! many times with fresh inputs (§2, §5). A [`CompiledRecording`] is
+//! lowered from the lifted recording exactly once, at load time:
 //!
 //! - the event stream becomes a flat arena of fixed-shape [`Op`]s with all
 //!   encoding-level validation (poll condition codes, IRQ line bytes,
@@ -22,32 +20,35 @@
 //! previous delta, so only the (content-independent) parse is hoisted;
 //! the XOR itself still happens against live memory at replay time.
 //!
-//! Compilation is semantics-preserving by construction: every check the
-//! interpreted path performs per event is performed either here (on
-//! content fixed at signing time) or in the compiled executor (on content
-//! that depends on the device). The `grt-lint` R1–R9 verdict attaches to
-//! the *recording*, which the compiled form reproduces event-for-event, so
-//! a vetted recording's verdict carries over to its compiled form.
+//! The replayer has one executor over this arena. One-shot replay
+//! (`Replayer::replay`) lowers with fusion off and walks every op at the
+//! interpreted prices; warm replay (`Replayer::compile_signed`, then
+//! `replay_compiled*`) lowers once with fusion on and walks the kept ops at
+//! the compiled prices. Every encoding-level check on content fixed at
+//! signing time happens here, before any MMIO; the checks on content that
+//! depends on the device happen in the walk. The `grt-lint` R1–R9 verdict
+//! attaches to the lift, which the arena reproduces step for step, so a
+//! vetted recording's verdict carries over to its compiled form.
 //!
-//! Since the semantics-IR rework, lowering consumes the
-//! [`grt_ir::IrProgram`] lifted by [`grt_ir::lift_recording`] instead of
-//! re-decoding the event stream itself: the typed [`grt_ir::program::Step`] arena maps
-//! 1:1 onto [`Op`]s, and the deltas the lifter already parsed move into
-//! the compiled delta arena without a second wire-format walk. The same
-//! lift feeds `grt-lint`, so the vetted semantics and the replayed
-//! semantics are one decode, not two.
+//! Lowering consumes the [`grt_ir::IrProgram`] lifted by
+//! [`grt_ir::lift_recording`] instead of re-decoding the event stream
+//! itself: the typed [`grt_ir::program::Step`] arena maps 1:1 onto
+//! [`Op`]s, and the deltas the lifter already parsed move into the
+//! compiled delta arena without a second wire-format walk. The same lift
+//! feeds `grt-lint`, so the vetted semantics and the replayed semantics
+//! are one decode, not two.
 
 use grt_compress::ParsedDelta;
 use grt_driver::PollCond;
 use grt_gpu::{FusedDirective, IrqLine};
+use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ir::program::Step;
 use grt_ir::recording::{irq_line_from, DataSlot, Recording};
 use grt_ir::{FusionSummary, IrProgram};
 
 /// A compile-time rejection: the recording's events carry a field outside
-/// its defined encoding, or a delta fails structural validation. These are
-/// exactly the conditions the interpreted path reports per event at run
-/// time; compilation reports them once, before any replay.
+/// its defined encoding, or a delta fails structural validation.
+/// Compilation reports them once, before any replay touches the GPU.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// An event field is outside its defined encoding.
@@ -175,7 +176,7 @@ pub struct CompiledRecording {
     /// Total wire-format bytes of all deltas (decompression the compiled
     /// path pays once instead of per replay).
     delta_wire_bytes: u64,
-    /// SHA-256 over the canonical recording bytes this was lowered from;
+    /// SHA-256 over the signed recording bytes this was lowered from;
     /// replay receipts carry it so the audit chain survives compilation.
     recording_digest: [u8; 32],
     /// Fused-execution directives keyed by head descriptor VA, handed to
@@ -221,7 +222,8 @@ impl CompiledRecording {
         self.delta_wire_bytes
     }
 
-    /// SHA-256 over the canonical bytes of the source recording.
+    /// SHA-256 over the signed bytes of the source recording — the digest
+    /// receipts, provenance records and `SET_PROVENANCE` all bind to.
     pub fn recording_digest(&self) -> [u8; 32] {
         self.recording_digest
     }
@@ -257,10 +259,10 @@ impl CompiledRecording {
 }
 
 /// Decodes a recorded poll's condition code and iteration budget — the
-/// one decoder the interpreted replayer, this compiler and the debug audit
-/// share. `Err` names the malformed field and its value: a condition code
-/// outside the three defined ones (lint R3 flags the same code), or a zero
-/// budget, which can never succeed.
+/// one decoder this compiler and the debug audit share. `Err` names the
+/// malformed field and its value: a condition code outside the three
+/// defined ones (lint R3 flags the same code), or a zero budget, which can
+/// never succeed.
 pub(crate) fn decode_poll(
     cond: u8,
     cmp: u32,
@@ -286,22 +288,34 @@ pub(crate) fn decode_poll(
 /// allocation inside the TA.
 pub const MAX_BATCH: usize = 64;
 
-/// Lowers an already-lifted recording into its compiled form, consuming
-/// the IR's parsed deltas so the wire format is walked exactly once
-/// end-to-end.
+/// Lowers a vetted lift into its compiled form, consuming the IR's parsed
+/// deltas so the wire format is walked exactly once end-to-end.
 ///
-/// `ir` must be the lift of `rec` (same event stream); steps are
-/// index-aligned with the recording's events. `poll_iter_cap` is the
-/// replayer's hard spin bound (its `REPLAY_POLL_ITER_CAP`); budgets are
-/// clamped to it here so the executor's loop bound is a plain field read.
+/// `recording_digest` is the SHA-256 of the signed recording bytes `ir`
+/// was lifted from — callers hold those bytes, so the lowering never
+/// re-serializes the recording to hash it. `fuse: false` produces the
+/// event-for-event lowering (full arena, no directives): the form one-shot
+/// replay walks. Poll budgets are clamped to
+/// [`REPLAY_POLL_ITER_CAP`] here, so the executor's loop bound is a plain
+/// field read.
 ///
 /// # Errors
 ///
-/// [`CompileError`] on exactly the encoding-level conditions the
-/// interpreted path would reject at run time: unknown poll condition
-/// codes, zero iteration budgets, out-of-range IRQ line bytes, and deltas
-/// that failed [`grt_compress::DeltaCodec::parse_limited`] in the lift
-/// against the region length the event claims.
+/// [`CompileError`] on unknown poll condition codes, zero iteration
+/// budgets, out-of-range IRQ line bytes, deltas that failed
+/// [`grt_compress::DeltaCodec::parse_limited`] in the lift against the
+/// region length the event claims, and register-table overflow.
+pub fn lower(
+    ir: IrProgram,
+    recording_digest: [u8; 32],
+    fuse: bool,
+) -> Result<CompiledRecording, CompileError> {
+    lower_capped(ir, recording_digest, REPLAY_POLL_ITER_CAP, fuse)
+}
+
+/// [`lower`] with fusion on, hashing a re-serialization of `rec` (which
+/// `ir` must be the lift of) and clamping polls to `poll_iter_cap`. Kept
+/// for the benchmark package, which calls it by this signature.
 pub fn compile_from_ir(
     rec: &Recording,
     ir: IrProgram,
@@ -310,12 +324,21 @@ pub fn compile_from_ir(
     compile_from_ir_opts(rec, ir, poll_iter_cap, true)
 }
 
-/// [`compile_from_ir`] with superinstruction fusion selectable; `fuse:
-/// false` produces the event-for-event lowering (full arena, no
-/// directives), used by tests and benches as the unfused baseline.
+/// [`compile_from_ir`] with superinstruction fusion selectable. Kept for
+/// the benchmark package, which calls it by this signature.
 pub fn compile_from_ir_opts(
     rec: &Recording,
+    ir: IrProgram,
+    poll_iter_cap: u32,
+    fuse: bool,
+) -> Result<CompiledRecording, CompileError> {
+    let digest = grt_crypto::Sha256::digest(&rec.to_bytes());
+    lower_capped(ir, digest, poll_iter_cap, fuse)
+}
+
+fn lower_capped(
     mut ir: IrProgram,
+    recording_digest: [u8; 32],
     poll_iter_cap: u32,
     fuse: bool,
 ) -> Result<CompiledRecording, CompileError> {
@@ -437,16 +460,16 @@ pub fn compile_from_ir_opts(
         (Vec::new(), FusionSummary::default())
     };
     Ok(CompiledRecording {
-        workload: rec.workload.clone(),
-        gpu_id: rec.gpu_id,
-        input: rec.input,
-        output: rec.output,
-        weights: rec.weights.clone(),
+        workload: ir.workload,
+        gpu_id: ir.gpu_id,
+        input: ir.input,
+        output: ir.output,
+        weights: ir.weights,
         regs,
         ops,
         deltas,
         delta_wire_bytes,
-        recording_digest: grt_crypto::Sha256::digest(&rec.to_bytes()),
+        recording_digest,
         fusion_plan,
         kept,
         fusion_summary,
@@ -458,9 +481,9 @@ mod tests {
     use super::*;
     use grt_ir::recording::Event;
 
-    /// Lifts and lowers `rec` under quirk 0 with a 10 000-iteration cap.
+    /// Lifts `rec` under quirk 0 and lowers the lift, fusion on.
     fn compile(rec: &Recording) -> Result<CompiledRecording, CompileError> {
-        compile_from_ir(rec, grt_ir::lift_recording(rec, 0), 10_000)
+        lower(grt_ir::lift_recording(rec, 0), [0; 32], true)
     }
 
     fn base_recording(events: Vec<Event>) -> Recording {
@@ -585,6 +608,6 @@ mod tests {
         let Op::Poll { max_iters, .. } = &c.ops()[0] else {
             panic!();
         };
-        assert_eq!(*max_iters, 10_000);
+        assert_eq!(*max_iters, REPLAY_POLL_ITER_CAP);
     }
 }

@@ -1,37 +1,74 @@
 //! The in-TEE replayer (§2.3, §3.2).
 //!
 //! The replayer is deliberately tiny: it holds no GPU stack, no JIT, no
-//! driver — it verifies the recording's signature and SKU, injects the
-//! app's real input and model parameters into the recorded slots, and
-//! walks the event log: register writes go to the hardware, deterministic
-//! reads are checked, polls and interrupt waits pace execution, memory
-//! deltas rebuild the metastate. Before and after a replay the GPU is
-//! reset and the TZASC holds it in the secure world.
+//! driver — it verifies the recording's signature and SKU, vets one lift
+//! of it through the recording gate, lowers that lift into a flat op arena
+//! ([`crate::compiled`]), injects the app's real input and model
+//! parameters into the recorded slots, and walks the arena: register
+//! writes go to the hardware, deterministic reads are checked, polls and
+//! interrupt waits pace execution, memory deltas rebuild the metastate.
+//! Before and after a replay the GPU is reset and the TZASC holds it in the
+//! secure world.
+//!
+//! There is one walk. One-shot [`Replayer::replay`] lowers with fusion off
+//! and charges the interpreted prices; warm [`Replayer::replay_compiled`],
+//! [`Replayer::replay_compiled_batch`] and [`Replayer::begin_layered`] walk
+//! a recording lowered once by [`Replayer::compile_signed`] and charge the
+//! compiled prices (DESIGN.md §9). The prices are the only difference.
 
-use crate::compiled::{
-    compile_from_ir, decode_poll, CompileError, CompiledRecording, Op, MAX_BATCH,
-};
+use crate::compiled::{lower, CompileError, CompiledRecording, Op, PreparedDelta, MAX_BATCH};
 use crate::session::ClientDevice;
 use grt_attest::{ReceiptCounters, ReplayReceipt};
-use grt_compress::DeltaCodec;
 use grt_crypto::{KeyPair, Sha256};
 use grt_ir::gate::RecordingGate;
-use grt_ir::recording::{irq_line_from, DataSlot, Event, Recording, SignedRecording};
-use grt_ir::IrProgram;
+use grt_ir::recording::{DataSlot, SignedRecording};
 use grt_ml::reference::{biases_for_layer, weights_for_layer};
 use grt_ml::NetworkSpec;
 use grt_sim::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Per-event replayer overhead on the interpreted path (wire-format event
-/// decode + offset resolution + MMIO issue).
-const REPLAY_EVENT_TIME: SimTime = SimTime::from_nanos(1500);
+/// What one walk over the op arena charges the virtual clock: the
+/// replayer's own per-op overhead and the price of each metastate delta.
+/// Hardware waits (polls, interrupts, GPU execution) cost the same under
+/// both tables.
+struct PriceTable {
+    /// Per-op replayer overhead.
+    op: SimTime,
+    /// Whether a delta is priced as a wire-format decode (one ns per wire
+    /// byte, the bytes counted in [`ReplayProfile::delta_wire_bytes`])
+    /// rather than as an in-place XOR of pre-parsed pages.
+    decodes_deltas: bool,
+}
 
-/// Per-op replayer overhead on the compiled path: the op is pre-decoded
-/// and pre-validated, its register offset a dense table read, so only the
-/// MMIO issue itself remains (DESIGN.md §9).
-const COMPILED_EVENT_TIME: SimTime = SimTime::from_nanos(250);
+impl PriceTable {
+    /// Clock time of applying `d`.
+    fn delta(&self, d: &PreparedDelta) -> SimTime {
+        if self.decodes_deltas {
+            // Decompression: ~1 µs per KiB of wire format.
+            SimTime::from_nanos(u64::from(d.wire_len))
+        } else {
+            // In-place XOR of pre-parsed pages streams at memory
+            // bandwidth — ~4× the entropy decoder's byte rate.
+            SimTime::from_nanos(d.parsed.changed_bytes() as u64 / 4)
+        }
+    }
+}
+
+/// [`Replayer::replay`]: every event is decoded from the wire format, its
+/// offset resolved and its MMIO issued, and every delta decompressed.
+const INTERPRETED: PriceTable = PriceTable {
+    op: SimTime::from_nanos(1500),
+    decodes_deltas: true,
+};
+
+/// The warm paths: the op is pre-decoded and pre-validated, its register
+/// offset a dense table read, so only the MMIO issue itself remains, and
+/// deltas were decompressed at compile time.
+const COMPILED: PriceTable = PriceTable {
+    op: SimTime::from_nanos(250),
+    decodes_deltas: false,
+};
 
 /// One-time per-event cost of lowering a recording into its compiled form
 /// (decode + validate + intern), charged in [`Replayer::compile_signed`].
@@ -126,12 +163,12 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Cost breakdown of the most recent replay (interpreted or compiled).
+/// Cost breakdown of the most recent replay (one-shot or warm).
 ///
-/// `overhead` isolates the replayer's own work — event decode, offset
-/// resolution, delta handling — from hardware waits (polls, interrupts,
-/// GPU execution), which dominate `total` and are identical on both
-/// paths. Throughput comparisons between the paths are only meaningful
+/// `overhead` isolates the replayer's own work — per-op decode and issue,
+/// delta handling — from hardware waits (polls, interrupts, GPU
+/// execution), which dominate `total` and are identical under both price
+/// tables. Throughput comparisons between the paths are only meaningful
 /// over `overhead`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayProfile {
@@ -141,15 +178,16 @@ pub struct ReplayProfile {
     pub overhead: SimTime,
     /// End-to-end replay latency, including hardware waits.
     pub total: SimTime,
-    /// Wire-format delta bytes decompressed during the replay (zero on
-    /// the compiled path — decompression happened once at compile time).
+    /// Wire-format delta bytes charged as decompressed during the replay
+    /// (zero on the warm paths — decompression happened once at compile
+    /// time).
     pub delta_wire_bytes: u64,
     /// Execution fast-path counters accumulated inside the GPU during
     /// this replay: software-TLB hits/misses and the per-op-kind
     /// events/MACs/time breakdown (see [`grt_gpu::ExecStats`]).
     pub exec: grt_gpu::ExecStats,
     /// What superinstruction fusion removed from this replay's warm walk
-    /// (all zero on the interpreted path and for unfused compilations).
+    /// (all zero for one-shot replay and other unfused compilations).
     pub fusion: grt_ir::FusionSummary,
 }
 
@@ -187,7 +225,6 @@ pub struct Replayer {
     device_mem: Rc<RefCell<grt_gpu::Memory>>,
     clock: Rc<grt_sim::Clock>,
     tzasc: Rc<grt_tee::Tzasc>,
-    codec: DeltaCodec,
     gate: Rc<dyn RecordingGate>,
     profile: ReplayProfile,
     /// Digest of the provenance record replays chain their receipts to;
@@ -214,7 +251,6 @@ impl Replayer {
             device_mem: Rc::clone(&device.mem),
             clock: Rc::clone(&device.clock),
             tzasc: Rc::clone(&device.tzasc),
-            codec: DeltaCodec::new(grt_gpu::PAGE_SIZE),
             gate,
             profile: ReplayProfile::default(),
             provenance_digest: None,
@@ -277,16 +313,17 @@ impl Replayer {
     }
 
     /// The load-time trust pipeline, in order: signature, SKU match, one
-    /// lift to the semantics IR under the present GPU's PTE quirk, and the
+    /// lift to the semantics IR under the present GPU's PTE quirk, the
     /// gate's whole-recording static analysis over that lift (which the
-    /// runtime checks then only have to complement). Returns the parsed
-    /// recording with the vetted lift, so a compile lowers exactly the IR
-    /// the gate saw.
+    /// runtime checks then only have to complement), and the lowering of
+    /// exactly that lift. Nothing here touches the GPU: a recording refused
+    /// at load leaves the device and its clock as they were.
     fn load(
         &self,
         signed: &SignedRecording,
         key: &KeyPair,
-    ) -> Result<(Recording, IrProgram), ReplayError> {
+        fuse: bool,
+    ) -> Result<CompiledRecording, ReplayError> {
         let rec = signed
             .verify_and_parse(key)
             .ok_or(ReplayError::BadRecording)?;
@@ -304,50 +341,21 @@ impl Replayer {
                 rule: r.rule,
                 message: r.message,
             })?;
-        Ok((rec, ir))
-    }
-
-    /// Checks that `weights` fills exactly the recorded weight slots.
-    fn check_weights<W: AsRef<[f32]>>(
-        slots: &[DataSlot],
-        weights: &[W],
-    ) -> Result<(), ReplayError> {
-        if weights.len() != slots.len()
-            || slots
-                .iter()
-                .zip(weights)
-                .any(|(slot, w)| w.as_ref().len() != slot.len_elems as usize)
-        {
-            return Err(ReplayError::BadInput);
-        }
-        Ok(())
-    }
-
-    /// Isolates and resets the GPU and scrubs protected memory (§3.2),
-    /// then injects the real parameters and input into the recorded slots.
-    fn lock_and_stage<W: AsRef<[f32]>>(
-        &mut self,
-        weight_slots: &[DataSlot],
-        weights: &[W],
-        input_slot: DataSlot,
-        input: &[f32],
-    ) {
-        self.tzasc.claim(
-            crate::client::GPU_MMIO_BASE,
-            crate::client::GPU_MMIO_LEN,
-            grt_tee::World::Secure,
-        );
-        self.device_gpu.borrow_mut().hard_reset_now();
-        let mut mem = self.device_mem.borrow_mut();
-        mem.wipe();
-        for (slot, w) in weight_slots.iter().zip(weights) {
-            mem.restore_range(slot.pa, self.upload.stage(w.as_ref()));
-        }
-        mem.restore_range(input_slot.pa, self.upload.stage(input));
+        lower(ir, Sha256::digest(&signed.bytes), fuse).map_err(|e| match e {
+            CompileError::MalformedEvent { field, value } => {
+                ReplayError::MalformedEvent { field, value }
+            }
+            CompileError::CorruptDelta { .. } => ReplayError::CorruptDelta,
+            CompileError::TooManyRegisters => ReplayError::BadRecording,
+        })
     }
 
     /// Replays a signed recording with fresh `input` and `weights`,
     /// returning the inference output and the replay delay (Table 2).
+    ///
+    /// One-shot replay: [`Replayer::compile_signed`]'s load with fusion
+    /// off, then the warm walk over every op, charged at the interpreted
+    /// prices (each event decoded and each delta decompressed per run).
     pub fn replay<W: AsRef<[f32]>>(
         &mut self,
         signed: &SignedRecording,
@@ -355,122 +363,9 @@ impl Replayer {
         input: &[f32],
         weights: &[W],
     ) -> Result<(Vec<f32>, SimTime), ReplayError> {
-        let (rec, _) = self.load(signed, key)?;
-        if input.len() != rec.input.len_elems as usize {
-            return Err(ReplayError::BadInput);
-        }
-        Self::check_weights(&rec.weights, weights)?;
-
-        self.profile = ReplayProfile::default();
-        let t0 = self.clock.now();
-        let exec0 = self.device_gpu.borrow().exec_stats();
-        self.lock_and_stage(&rec.weights, weights, rec.input, input);
-
-        // Walk the log.
-        for event in &rec.events {
-            if let Err(e) = self.exec_event(event) {
-                self.cleanup();
-                return Err(e);
-            }
-        }
-
-        // Read the output, then scrub hardware state (§3.2).
-        let raw = self
-            .device_mem
-            .borrow()
-            .dump_range(rec.output.pa, rec.output.len_elems as usize * 4);
-        self.cleanup();
-        self.profile.exec = self.device_gpu.borrow().exec_stats().delta_since(&exec0);
-        self.profile.total = self.clock.now() - t0;
-        let input_digest = Sha256::digest(self.upload.stage(input));
-        self.emit_receipt(
-            &rec.workload,
-            Sha256::digest(&signed.bytes),
-            input_digest,
-            &raw,
-        );
-        Ok((f32s(&raw), self.profile.total))
-    }
-
-    /// Executes one recorded event against the hardware.
-    fn exec_event(&mut self, event: &Event) -> Result<(), ReplayError> {
-        self.clock.advance(REPLAY_EVENT_TIME);
-        self.profile.events += 1;
-        self.profile.overhead += REPLAY_EVENT_TIME;
-        match event {
-            Event::BeginLayer { .. } => {}
-            Event::RegWrite { offset, value } => {
-                self.device_gpu.borrow_mut().write_reg(*offset, *value);
-            }
-            Event::RegRead {
-                offset,
-                value,
-                verify,
-            } => {
-                let got = self.device_gpu.borrow_mut().read_reg(*offset);
-                if *verify && got != *value {
-                    return Err(ReplayError::VerifyMismatch {
-                        offset: *offset,
-                        expected: *value,
-                        got,
-                    });
-                }
-            }
-            Event::Poll {
-                reg,
-                mask,
-                cond,
-                cmp,
-                max_iters,
-                delay_us,
-            } => {
-                let cond = decode_poll(*cond, *cmp, *max_iters)
-                    .map_err(|(field, value)| ReplayError::MalformedEvent { field, value })?;
-                let mut satisfied = false;
-                for _ in 0..(*max_iters).min(REPLAY_POLL_ITER_CAP) {
-                    let raw = self.device_gpu.borrow_mut().read_reg(*reg);
-                    if cond.satisfied(raw, *mask) {
-                        satisfied = true;
-                        break;
-                    }
-                    self.clock.advance(SimTime::from_micros(*delay_us as u64));
-                }
-                if !satisfied {
-                    return Err(ReplayError::PollTimeout { reg: *reg });
-                }
-            }
-            Event::WaitIrq { line } => {
-                // An out-of-range line byte is a malformed event, not a
-                // generic "bad recording": the signature was fine, the
-                // content wasn't.
-                let line = irq_line_from(*line).ok_or(ReplayError::MalformedEvent {
-                    field: "wait_irq.line",
-                    value: *line as u32,
-                })?;
-                let Some(at) = self.device_gpu.borrow_mut().next_irq_at(line) else {
-                    return Err(ReplayError::IrqHang);
-                };
-                self.clock.advance_to(at);
-            }
-            Event::LoadMemDelta { pa, len, delta } => {
-                // Clamp the claimed region length to the device's memory
-                // and bound the decode accordingly: a malicious recording
-                // must not drive unbounded allocation or decode work.
-                let len = (*len as usize).min(self.device_mem.borrow().size());
-                let current = self.device_mem.borrow().dump_range(*pa, len);
-                let new = self
-                    .codec
-                    .decode_limited(&current, delta, len)
-                    .map_err(|_| ReplayError::CorruptDelta)?;
-                self.device_mem.borrow_mut().restore_range(*pa, &new);
-                // Decompression cost: ~1 µs per KiB.
-                let decode_time = SimTime::from_nanos(delta.len() as u64);
-                self.clock.advance(decode_time);
-                self.profile.overhead += decode_time;
-                self.profile.delta_wire_bytes += delta.len() as u64;
-            }
-        }
-        Ok(())
+        let compiled = self.load(signed, key, false)?;
+        let (mut outs, total) = self.walk(&compiled, &[input], weights, &INTERPRETED)?;
+        Ok((outs.swap_remove(0), total))
     }
 
     /// Verifies, vets, and lowers a signed recording into its compiled
@@ -487,14 +382,7 @@ impl Replayer {
         signed: &SignedRecording,
         key: &KeyPair,
     ) -> Result<CompiledRecording, ReplayError> {
-        let (rec, ir) = self.load(signed, key)?;
-        let compiled = compile_from_ir(&rec, ir, REPLAY_POLL_ITER_CAP).map_err(|e| match e {
-            CompileError::MalformedEvent { field, value } => {
-                ReplayError::MalformedEvent { field, value }
-            }
-            CompileError::CorruptDelta { .. } => ReplayError::CorruptDelta,
-            CompileError::TooManyRegisters => ReplayError::BadRecording,
-        })?;
+        let compiled = self.load(signed, key, true)?;
         // One-time lowering cost: per-event validation plus decompressing
         // every delta's wire format (the work warm replays no longer do).
         self.clock.advance(
@@ -506,8 +394,8 @@ impl Replayer {
 
     /// Replays a compiled recording with fresh `input` and `weights` —
     /// the warm path: a one-lane [`Replayer::replay_compiled_batch`].
-    /// Event-for-event equivalent to [`Replayer::replay`] on the recording
-    /// the compiled form was lowered from, without re-parsing,
+    /// Output-for-output equivalent to [`Replayer::replay`] on the
+    /// recording the compiled form was lowered from, without re-parsing,
     /// re-verifying, or re-decompressing anything.
     pub fn replay_compiled<W: AsRef<[f32]>>(
         &mut self,
@@ -520,7 +408,7 @@ impl Replayer {
     }
 
     /// Replays a compiled recording once for a whole batch of
-    /// `1..=MAX_BATCH` inputs (DESIGN.md §14) — the one warm executor.
+    /// `1..=MAX_BATCH` inputs (DESIGN.md §14), at the compiled prices.
     /// One pass over the op arena serves `inputs.len()` inference inputs,
     /// sharing the control dialog (register writes, polls, interrupt
     /// waits, metastate deltas, reset/wipe/restore) and the batch-resident
@@ -547,6 +435,18 @@ impl Replayer {
         inputs: &[I],
         weights: &[W],
     ) -> Result<(Vec<Vec<f32>>, SimTime), ReplayError> {
+        self.walk(compiled, inputs, weights, &COMPILED)
+    }
+
+    /// The one replay walk: checks, staging, lane forks, the kept ops
+    /// charged at `prices`, the batch commit and the receipt.
+    fn walk<I: AsRef<[f32]>, W: AsRef<[f32]>>(
+        &mut self,
+        compiled: &CompiledRecording,
+        inputs: &[I],
+        weights: &[W],
+        prices: &PriceTable,
+    ) -> Result<(Vec<Vec<f32>>, SimTime), ReplayError> {
         if !(1..=MAX_BATCH).contains(&inputs.len()) {
             return Err(ReplayError::BadInput);
         }
@@ -555,7 +455,7 @@ impl Replayer {
         self.profile = ReplayProfile::default();
         let t0 = self.clock.now();
         let exec0 = self.device_gpu.borrow().exec_stats();
-        self.stage_compiled(compiled, inputs[0].as_ref(), weights);
+        self.stage(compiled, inputs[0].as_ref(), weights);
         // Lane images: fork the restored primary, then overwrite the input
         // slot. The fork copies every page staging touched — page tables,
         // descriptors, weight pages — and the rest is zero on both sides,
@@ -572,7 +472,7 @@ impl Replayer {
         self.device_gpu.borrow_mut().set_batch_lanes(lanes);
         if let Err(e) = compiled
             .kept_ops()
-            .try_for_each(|op| self.exec_op(compiled, op))
+            .try_for_each(|op| self.exec_op(compiled, op, prices))
         {
             self.cleanup();
             return Err(e);
@@ -622,36 +522,60 @@ impl Replayer {
                 present,
             });
         }
+        let misfit = |slot: &DataSlot, data: &[f32]| data.len() != slot.len_elems as usize;
         if inputs
             .iter()
-            .any(|input| input.as_ref().len() != compiled.input.len_elems as usize)
+            .any(|input| misfit(&compiled.input, input.as_ref()))
+            || weights.len() != compiled.weights.len()
+            || compiled
+                .weights
+                .iter()
+                .zip(weights)
+                .any(|(slot, w)| misfit(slot, w.as_ref()))
         {
             return Err(ReplayError::BadInput);
         }
-        Self::check_weights(&compiled.weights, weights)
+        Ok(())
     }
 
-    /// Locks, resets, wipes and stages the device for a compiled walk, and
+    /// Isolates and resets the GPU and scrubs protected memory (§3.2),
+    /// injects the real parameters and input into the recorded slots, and
     /// installs the recording's fusion plan.
-    fn stage_compiled<W: AsRef<[f32]>>(
+    fn stage<W: AsRef<[f32]>>(
         &mut self,
         compiled: &CompiledRecording,
         input: &[f32],
         weights: &[W],
     ) {
-        self.lock_and_stage(&compiled.weights, weights, compiled.input, input);
-        self.device_gpu
-            .borrow_mut()
-            .set_fusion_plan(compiled.fusion_plan().to_vec());
+        self.tzasc.claim(
+            crate::client::GPU_MMIO_BASE,
+            crate::client::GPU_MMIO_LEN,
+            grt_tee::World::Secure,
+        );
+        let mut gpu = self.device_gpu.borrow_mut();
+        gpu.hard_reset_now();
+        gpu.set_fusion_plan(compiled.fusion_plan().to_vec());
+        drop(gpu);
+        let mut mem = self.device_mem.borrow_mut();
+        mem.wipe();
+        for (slot, w) in compiled.weights.iter().zip(weights) {
+            mem.restore_range(slot.pa, self.upload.stage(w.as_ref()));
+        }
+        mem.restore_range(compiled.input.pa, self.upload.stage(input));
     }
 
-    /// Executes one compiled op. No decoding, no validation of
-    /// encoding-level invariants — [`compile_from_ir`] already established
-    /// them.
-    fn exec_op(&mut self, compiled: &CompiledRecording, op: &Op) -> Result<(), ReplayError> {
-        self.clock.advance(COMPILED_EVENT_TIME);
+    /// Executes one compiled op, charged at `prices`. No decoding, no
+    /// validation of encoding-level invariants — [`lower`] already
+    /// established them.
+    fn exec_op(
+        &mut self,
+        compiled: &CompiledRecording,
+        op: &Op,
+        prices: &PriceTable,
+    ) -> Result<(), ReplayError> {
+        self.clock.advance(prices.op);
         self.profile.events += 1;
-        self.profile.overhead += COMPILED_EVENT_TIME;
+        self.profile.overhead += prices.op;
         match op {
             Op::BeginLayer { .. } => {}
             Op::RegWrite { reg, value } => {
@@ -699,10 +623,10 @@ impl Replayer {
             }
             Op::LoadDelta { index } => {
                 let d = compiled.delta(*index);
-                // Same clamp as the interpreted path: the claimed region
-                // length is bounded by the device's memory, and a delta
-                // whose stated length exceeds that bound is corrupt *for
-                // this device* even though it parsed at compile time.
+                // The claimed region length is bounded by the device's
+                // memory, and a delta whose stated length exceeds that
+                // bound is corrupt *for this device* even though it parsed
+                // at compile time.
                 let len = (d.len as usize).min(self.device_mem.borrow().size());
                 if d.parsed.new_len() > len {
                     return Err(ReplayError::CorruptDelta);
@@ -724,11 +648,12 @@ impl Replayer {
                         lmem.xor_range(d.pa + u64::from(*page) * grt_gpu::PAGE_SIZE as u64, xor);
                     }
                 }
-                // In-place XOR of pre-parsed pages streams at memory
-                // bandwidth — ~4× the entropy decoder's byte rate.
-                let xor_time = SimTime::from_nanos(d.parsed.changed_bytes() as u64 / 4);
-                self.clock.advance(xor_time);
-                self.profile.overhead += xor_time;
+                let time = prices.delta(d);
+                self.clock.advance(time);
+                self.profile.overhead += time;
+                if prices.decodes_deltas {
+                    self.profile.delta_wire_bytes += u64::from(d.wire_len);
+                }
             }
         }
         Ok(())
@@ -765,7 +690,7 @@ impl Replayer {
     ) -> Result<LayeredReplay<'r>, ReplayError> {
         self.check_compiled(compiled, &[input], weights)?;
         self.profile = ReplayProfile::default();
-        self.stage_compiled(compiled, input, weights);
+        self.stage(compiled, input, weights);
         let walk: Box<dyn Iterator<Item = &'r Op> + 'r> = Box::new(compiled.kept_ops());
         Ok(LayeredReplay {
             replayer: self,
@@ -814,7 +739,7 @@ impl LayeredReplay<'_> {
             if let Op::BeginLayer { index } = *op {
                 layer = Some(index);
             }
-            if let Err(e) = self.replayer.exec_op(self.compiled, op) {
+            if let Err(e) = self.replayer.exec_op(self.compiled, op, &COMPILED) {
                 // Drain the walk so later calls report completion.
                 for _ in self.walk.by_ref() {}
                 self.replayer.cleanup();
@@ -859,6 +784,7 @@ mod tests {
     use super::*;
     use crate::session::{RecordSession, RecorderMode};
     use grt_gpu::GpuSku;
+    use grt_ir::recording::Event;
     use grt_ml::reference::{test_input, ReferenceNet};
     use grt_net::NetConditions;
 
@@ -1023,37 +949,6 @@ mod tests {
             .tzasc
             .owner_of(crate::client::GPU_MMIO_BASE)
             .is_none());
-    }
-
-    #[test]
-    fn compiled_replay_matches_interpreted_bit_for_bit() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let weights = workload_weights(&spec);
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        for variant in [3, 7] {
-            let input = test_input(&spec, variant);
-            let (interp, _) = replayer
-                .replay(&out.recording, &key, &input, &weights)
-                .unwrap();
-            let interp_events = replayer.last_profile().events;
-            let (fast, _) = replayer
-                .replay_compiled(&compiled, &input, &weights)
-                .unwrap();
-            let fast_profile = replayer.last_profile();
-            assert_eq!(
-                interp.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "variant {variant}"
-            );
-            // Fusion elides whole dialog windows from the compiled walk,
-            // so it may execute strictly fewer ops than the interpreted
-            // path has events — never more.
-            assert!(fast_profile.events <= interp_events);
-            assert_eq!(fast_profile.delta_wire_bytes, 0);
-        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ pub struct Gpu {
     /// Fusion plan for the current replay: `(descriptor VA, directive)`
     /// pairs sorted by VA. A descriptor whose VA appears here executes as
     /// a fused superinstruction (tails applied in scratch); descriptors
-    /// not listed run unfused. Empty in recording and interpreted replay.
+    /// not listed run unfused. Empty in recording and one-shot replay.
     fusion_plan: Vec<(u64, FusedDirective)>,
 }
 

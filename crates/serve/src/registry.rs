@@ -28,7 +28,6 @@ use grt_core::session::{
 use grt_core::CompiledRecording;
 use grt_crypto::Sha256;
 use grt_gpu::GpuSku;
-use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ir::recording::SignedRecording;
 use grt_lint::{LintReport, Linter};
 use grt_ml::NetworkSpec;
@@ -574,13 +573,13 @@ fn vet(
     // certified budget): the compiled form reproduces the linted
     // recording event-for-event, so the R1-R9 verdict carries over to
     // every replay of it.
-    let compiled =
-        grt_core::compiled::compile_from_ir(&parsed, ir, REPLAY_POLL_ITER_CAP).map_err(|e| {
-            RecordError::Rejected {
-                rule: "compile".to_owned(),
-                message: e.to_string(),
-            }
-        })?;
+    let recording_digest = Sha256::digest(&recording.bytes);
+    let compiled = grt_core::compiled::lower(ir, recording_digest, true).map_err(|e| {
+        RecordError::Rejected {
+            rule: "compile".to_owned(),
+            message: e.to_string(),
+        }
+    })?;
     stats.compiled_inserts += 1;
     let fusion = compiled.fusion_summary();
     stats.fused_chains += fusion.chains_fused as u64;
@@ -592,7 +591,7 @@ fn vet(
         "registry",
         spec.name,
         sku.gpu_id,
-        Sha256::digest(&recording.bytes),
+        recording_digest,
         Sha256::digest(report.to_json().as_bytes()),
         PROVISIONING_SECRET,
     );

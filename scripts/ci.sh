@@ -129,14 +129,19 @@ cmp "$GOLDEN_DIR/fleet_a.json" "$GOLDEN_DIR/fleet_b.json" || {
 
 # Replay perf gate: two back-to-back replay benchmark runs (batched
 # replay included, --batch 8) must emit byte-identical JSON (all numbers
-# derive from the virtual clock), and the compiled path's aggregate
-# events/s must not regress more than 10% below the checked-in
-# BENCH_replay.json baseline.
-echo "==> replay perf gate: determinism + events/s regression check"
+# derive from the virtual clock), the output must equal the checked-in
+# BENCH_replay.json byte for byte (a cost-model change regenerates the
+# file in the same change and says so), and the compiled path's
+# aggregate events/s must not regress more than 10% below it.
+echo "==> replay perf gate: determinism, exact baseline, events/s regression check"
 cargo run --release -q -p grt-bench --bin replay_bench -- --batch 8 > "$GOLDEN_DIR/replay_a.json"
 cargo run --release -q -p grt-bench --bin replay_bench -- --batch 8 > "$GOLDEN_DIR/replay_b.json"
 cmp "$GOLDEN_DIR/replay_a.json" "$GOLDEN_DIR/replay_b.json" || {
     echo "ci: replay_bench output is nondeterministic" >&2
+    exit 1
+}
+cmp BENCH_replay.json "$GOLDEN_DIR/replay_a.json" || {
+    echo "ci: replay_bench output differs from the checked-in BENCH_replay.json" >&2
     exit 1
 }
 extract_eps() {

@@ -14,6 +14,8 @@ use grt_sim::{Clock, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+mod support;
+
 /// Deterministic pseudo-random f32 stream in roughly [-2, 2).
 fn lcg(seed: u64) -> impl FnMut() -> f32 {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -612,17 +614,16 @@ fn random_spec(seed: u64) -> grt_ml::NetworkSpec {
 }
 
 /// Property: lowering a recording through the semantics IR
-/// (`lift_recording` → `compile_from_ir`) yields a `CompiledRecording`
-/// whose replay is bit-identical to interpreting the recording event by
-/// event — on every zoo network and on randomized shape-consistent
-/// networks the zoo never exercises. This pins the tentpole invariant
-/// that the IR is a faithful semantics carrier: the same lift that
-/// grt-lint proves R1–R9 over is the one the fast path executes.
+/// (`lift_recording` → `lower`) yields a `CompiledRecording` whose replay
+/// is bit-identical to interpreting the recording event by event with the
+/// test-only oracle — on every zoo network and on randomized
+/// shape-consistent networks the zoo never exercises. This pins the
+/// invariant that the IR is a faithful semantics carrier: the same lift
+/// that grt-lint proves R1–R9 over is the one the executor runs.
 #[test]
 fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
     use grt_core::replay::{workload_weights, Replayer};
     use grt_core::session::{RecordSession, RecorderMode};
-    use grt_ir::gate::REPLAY_POLL_ITER_CAP;
     use grt_ml::reference::test_input;
 
     let mut specs = grt_ml::zoo::all_benchmarks();
@@ -639,27 +640,68 @@ fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
             .recording
             .verify_and_parse(&key)
             .expect("recording verifies");
-        // The explicit tentpole path: lift once, lower the lift.
+        // The explicit path: lift once, lower the lift.
         let ir = grt_ir::lift_recording(&rec, quirk);
-        let compiled = grt_core::compiled::compile_from_ir(&rec, ir, REPLAY_POLL_ITER_CAP)
-            .expect("well-formed recording lowers");
+        let digest = grt_crypto::Sha256::digest(&out.recording.bytes);
+        let compiled =
+            grt_core::compiled::lower(ir, digest, true).expect("well-formed recording lowers");
         let weights = workload_weights(spec);
         let mut replayer = Replayer::new(&s.client, Rc::new(grt_lint::Linter::new()));
         for round in 0..3u64 {
             let input = test_input(spec, (i as u64) << 8 | round);
-            let (interp, _) = replayer
-                .replay(&out.recording, &key, &input, &weights)
+            let interp = support::interpret(&s.client, &out.recording, &key, &input, &weights)
                 .expect("interpreted replay");
             let (fast, _) = replayer
                 .replay_compiled(&compiled, &input, &weights)
                 .expect("compiled replay");
             assert_eq!(
-                bits(&interp),
+                bits(&interp.output),
                 bits(&fast),
                 "{} (case {i}, round {round}): IR-lowered replay diverged",
                 spec.name
             );
         }
+    }
+}
+
+/// Warm compiled replay of MNIST agrees with the event interpreter on
+/// output bits and on the digests its receipt binds, runs no more ops than
+/// the interpreter has events, and decompresses no delta.
+#[test]
+fn compiled_replay_matches_interpreted_bit_for_bit() {
+    use grt_core::replay::{workload_weights, Replayer};
+    use grt_core::session::{RecordSession, RecorderMode};
+    use grt_ml::reference::test_input;
+
+    let spec = grt_ml::zoo::mnist();
+    let mut s = RecordSession::new(
+        GpuSku::mali_g71_mp8(),
+        grt_net::NetConditions::wifi(),
+        RecorderMode::OursMDS,
+    );
+    let out = s.record(&spec).expect("record");
+    let key = s.recording_key();
+    let mut replayer = Replayer::new(&s.client, Rc::new(grt_ir::gate::PermissiveGate));
+    let weights = workload_weights(&spec);
+    let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
+    for variant in [3, 7] {
+        let input = test_input(&spec, variant);
+        let interp = support::interpret(&s.client, &out.recording, &key, &input, &weights)
+            .expect("interpreted replay");
+        let (fast, _) = replayer
+            .replay_compiled(&compiled, &input, &weights)
+            .unwrap();
+        let fast_profile = replayer.last_profile();
+        assert_eq!(bits(&interp.output), bits(&fast), "variant {variant}");
+        let receipt = replayer.last_receipt().unwrap();
+        assert_eq!(receipt.recording_digest, interp.receipt.recording_digest);
+        assert_eq!(receipt.input_digest, interp.receipt.input_digest);
+        assert_eq!(receipt.output_digest, interp.receipt.output_digest);
+        // Fusion elides whole dialog windows from the compiled walk, so
+        // it may execute strictly fewer ops than the recording has
+        // events — never more.
+        assert!(fast_profile.events <= interp.profile.events);
+        assert_eq!(fast_profile.delta_wire_bytes, 0);
     }
 }
 

@@ -115,33 +115,79 @@ fn replay_detects_interrupt_hang() {
     assert_eq!(err, grt_core::replay::ReplayError::IrqHang);
 }
 
-/// A corrupted metastate delta inside an otherwise well-signed recording
-/// is caught by the decoder (defense in depth below the signature).
+/// Malformed content inside an otherwise well-signed recording — an
+/// undefined poll condition, an out-of-range interrupt line byte, a
+/// corrupted metastate delta — is refused with its typed error at load,
+/// before the GPU is touched: even past a permissive gate, the device
+/// clock does not move and the TZASC never holds the GPU.
 #[test]
 fn replay_detects_corrupt_delta() {
+    use grt_core::client::GPU_MMIO_BASE;
+    use grt_core::replay::ReplayError;
     use grt_ir::recording::{Event, Recording, SignedRecording};
     let spec = grt_ml::zoo::mnist();
     let mut s = session();
     let out = s.record(&spec).expect("record");
     let key = s.recording_key();
-    let mut rec: Recording = out.recording.verify_and_parse(&key).expect("parse");
-    let mut corrupted = false;
-    for e in rec.events.iter_mut() {
-        if let Event::LoadMemDelta { delta, .. } = e {
-            if delta.len() > 16 {
-                delta.truncate(delta.len() / 2);
-                corrupted = true;
-                break;
-            }
-        }
-    }
-    assert!(corrupted, "no delta to corrupt");
-    let evil = SignedRecording::sign(&rec, &key);
+    let rec: Recording = out.recording.verify_and_parse(&key).expect("parse");
+
+    // Applies `sabotage` to the first event it accepts.
+    let corrupt = |sabotage: &dyn Fn(&mut Event) -> bool| {
+        let mut rec = rec.clone();
+        assert!(rec.events.iter_mut().any(sabotage), "no event to corrupt");
+        SignedRecording::sign(&rec, &key)
+    };
+    let cases = [
+        (
+            corrupt(&|e| match e {
+                Event::Poll { cond, .. } => {
+                    *cond = 7;
+                    true
+                }
+                _ => false,
+            }),
+            ReplayError::MalformedEvent {
+                field: "poll.cond",
+                value: 7,
+            },
+        ),
+        (
+            corrupt(&|e| match e {
+                Event::WaitIrq { line } => {
+                    *line = 9;
+                    true
+                }
+                _ => false,
+            }),
+            ReplayError::MalformedEvent {
+                field: "wait_irq.line",
+                value: 9,
+            },
+        ),
+        (
+            corrupt(&|e| match e {
+                Event::LoadMemDelta { delta, .. } if delta.len() > 16 => {
+                    delta.truncate(delta.len() / 2);
+                    true
+                }
+                _ => false,
+            }),
+            ReplayError::CorruptDelta,
+        ),
+    ];
     let mut r = Replayer::new(&s.client, std::rc::Rc::new(grt_ir::gate::PermissiveGate));
-    let err = r
-        .replay(&evil, &key, &test_input(&spec, 0), &workload_weights(&spec))
-        .unwrap_err();
-    assert_eq!(err, grt_core::replay::ReplayError::CorruptDelta);
+    for (evil, want) in cases {
+        let before = s.client.clock.now();
+        let err = r
+            .replay(&evil, &key, &test_input(&spec, 0), &workload_weights(&spec))
+            .unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(s.client.clock.now(), before, "{want}: the clock moved");
+        assert!(
+            s.client.tzasc.owner_of(GPU_MMIO_BASE).is_none(),
+            "{want}: the TZASC still holds the GPU"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,9 @@
 //! decision that must be *invisible* in the bytes.
 //!
 //! - Fused compiled replay must be bitwise identical to the unfused
-//!   compiled lowering and to the interpreted path, across every zoo
-//!   network and randomized shape-consistent networks.
+//!   compiled lowering and to the event interpreter (the test-only oracle
+//!   in `tests/support`), across every zoo network and randomized
+//!   shape-consistent networks.
 //! - Fused batched replay must stay lane-for-lane identical to sequential
 //!   fused scalar replays.
 //! - Layered replay walks the fused compiled recording and must still
@@ -13,13 +14,14 @@
 //!   time model must show the warm replay getting faster, not just the op
 //!   count shrinking.
 
-use grt_core::compiled::{compile_from_ir_opts, CompiledRecording};
+use grt_core::compiled::{lower, CompiledRecording};
 use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordOutcome, RecordSession, RecorderMode};
-use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ml::reference::test_input;
 use grt_ml::NetworkSpec;
 use std::rc::Rc;
+
+mod support;
 
 fn zoo(name: &str) -> NetworkSpec {
     grt_ml::zoo::all_benchmarks()
@@ -156,12 +158,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
 fn unfused_of(s: &RecordSession, out: &RecordOutcome) -> CompiledRecording {
     let rec = out.recording.verify_and_parse(&s.recording_key()).unwrap();
     let ir = grt_ir::lift_recording(&rec, s.client.gpu.borrow().sku().pte_quirk);
-    compile_from_ir_opts(&rec, ir, REPLAY_POLL_ITER_CAP, false).unwrap()
+    lower(ir, grt_crypto::Sha256::digest(&out.recording.bytes), false).unwrap()
 }
 
-/// Fused output bits equal the unfused compiled lowering *and* the
-/// interpreted path on every zoo network, and fused warm replay is
-/// virtual-time faster wherever chains formed.
+/// Fused output bits equal the unfused compiled lowering *and* the event
+/// interpreter on every zoo network, and fused warm replay is virtual-time
+/// faster wherever chains formed.
 #[test]
 fn fused_replay_is_bitwise_identical_across_the_zoo() {
     for spec in grt_ml::zoo::all_benchmarks() {
@@ -179,17 +181,27 @@ fn fused_replay_is_bitwise_identical_across_the_zoo() {
                 .replay_compiled(&unfused, &input, &weights)
                 .unwrap();
             let base_events = replayer.last_profile().events;
-            let (interp, _) = replayer
-                .replay(&out.recording, &key, &input, &weights)
-                .unwrap();
+            let interp =
+                support::interpret(&s.client, &out.recording, &key, &input, &weights).unwrap();
             let (fast, fast_t) = replayer.replay_compiled(&fused, &input, &weights).unwrap();
             let profile = replayer.last_profile();
 
             assert_eq!(bits(&base), bits(&fast), "{}: fused vs unfused", spec.name);
             assert_eq!(
-                bits(&interp),
+                bits(&interp.output),
                 bits(&fast),
                 "{}: fused vs interpreted",
+                spec.name
+            );
+            assert_eq!(
+                interp.profile.events, base_events,
+                "{}: the unfused lowering walks every event",
+                spec.name
+            );
+            assert_eq!(
+                interp.receipt.output_digest,
+                replayer.last_receipt().unwrap().output_digest,
+                "{}: receipts bind the same output",
                 spec.name
             );
             let summary = profile.fusion;

@@ -15,6 +15,8 @@ use grt_gpu::mmu::{decode_pte, encode_pte, PteFlags};
 use grt_gpu::shader::{ConvParams, ShaderOp};
 use grt_sim::Rng;
 
+mod support;
+
 /// Runs `n` independent cases of a property, each with its own
 /// reproducibly-derived generator.
 fn cases(n: u64, base_seed: u64, mut property: impl FnMut(&mut Rng)) {
@@ -501,12 +503,18 @@ fn memsync_converges_under_arbitrary_mutation() {
     });
 }
 
-/// The compiled replay path is event-for-event identical to the
-/// interpreted path: for every zoo network and arbitrary inputs, both
-/// paths produce bit-identical outputs, and the compiled path's event
-/// count falls short of the interpreted one by exactly the dialog-window
-/// steps fusion elided (DESIGN.md §9, §15 — compilation is
-/// semantics-preserving; fusion only removes work).
+/// The one replay executor agrees with the event-by-event interpreter
+/// (the test-only oracle in `tests/support`) on every zoo network and
+/// arbitrary inputs:
+///
+/// - warm compiled replay produces bit-identical outputs, and its op count
+///   falls short of the oracle's event count by exactly the dialog-window
+///   steps fusion elided (DESIGN.md §9, §15 — compilation is
+///   semantics-preserving; fusion only removes work);
+/// - one-shot `Replayer::replay`, which walks the unfused lowering under
+///   the interpreted price table, reproduces the oracle's output bits,
+///   its `events`, `overhead`, `total`, `delta_wire_bytes` and TLB
+///   counters, and its whole receipt.
 #[test]
 fn compiled_replay_equals_interpreted_on_all_networks() {
     use grt_core::replay::{workload_weights, Replayer};
@@ -528,16 +536,16 @@ fn compiled_replay_equals_interpreted_on_all_networks() {
             .expect("vetted recording compiles");
         cases(3, 0xC0DE_0011 ^ spec.name.len() as u64, |rng| {
             let input = test_input(&spec, rng.next_u64());
-            let (interp, _) = replayer
-                .replay(&out.recording, &key, &input, &weights)
-                .unwrap();
-            let interp_events = replayer.last_profile().events;
+            let oracle = support::interpret(&s.client, &out.recording, &key, &input, &weights)
+                .expect("interpreted replay");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
             let (fast, _) = replayer
                 .replay_compiled(&compiled, &input, &weights)
                 .unwrap();
             assert_eq!(
-                interp.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&oracle.output),
+                bits(&fast),
                 "{}: outputs must be bit-identical",
                 spec.name
             );
@@ -545,16 +553,51 @@ fn compiled_replay_equals_interpreted_on_all_networks() {
             // compiled path; the exact delta is pinned by tests/fusion.rs.
             let fast_profile = replayer.last_profile();
             assert!(
-                fast_profile.events <= interp_events,
+                fast_profile.events <= oracle.profile.events,
                 "{}: compiled path must not add events ({} > {})",
                 spec.name,
                 fast_profile.events,
-                interp_events
+                oracle.profile.events
             );
             assert_eq!(
-                interp_events - fast_profile.events,
+                oracle.profile.events - fast_profile.events,
                 fast_profile.fusion.steps_elided,
                 "{}: event delta must equal elided steps",
+                spec.name
+            );
+
+            // The interpreted price table, pinned against the oracle.
+            let (once, total) = replayer
+                .replay(&out.recording, &key, &input, &weights)
+                .unwrap();
+            let p = replayer.last_profile();
+            let o = oracle.profile;
+            assert_eq!(bits(&once), bits(&oracle.output), "{}", spec.name);
+            assert_eq!(
+                (
+                    p.events,
+                    p.overhead,
+                    p.total,
+                    p.delta_wire_bytes,
+                    p.exec.tlb
+                ),
+                (
+                    o.events,
+                    o.overhead,
+                    o.total,
+                    o.delta_wire_bytes,
+                    o.exec.tlb
+                ),
+                "{}: one-shot replay must charge the interpreted prices",
+                spec.name
+            );
+            assert_eq!(total, o.total, "{}", spec.name);
+            let receipt = replayer.last_receipt().unwrap();
+            assert_eq!(receipt.counters, oracle.receipt.counters, "{}", spec.name);
+            assert_eq!(
+                receipt.to_bytes(),
+                oracle.receipt.to_bytes(),
+                "{}: one-shot receipt",
                 spec.name
             );
         });
