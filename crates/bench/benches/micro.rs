@@ -46,6 +46,19 @@ fn sparse_dump(len: usize) -> Vec<u8> {
     d
 }
 
+/// Xorshift bytes: incompressible, like the weights most deltas carry.
+fn noise(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
 fn bench_range_coder() {
     let data = sparse_dump(256 * 1024);
     bench(
@@ -58,6 +71,20 @@ fn bench_range_coder() {
     bench(
         "range_coder/decompress_sparse_256k",
         50,
+        Some(data.len()),
+        || decompress(std::hint::black_box(&packed)).unwrap(),
+    );
+    let data = noise(4 << 20);
+    bench(
+        "range_coder/compress_incompressible_4m",
+        3,
+        Some(data.len()),
+        || compress(std::hint::black_box(&data)),
+    );
+    let packed = compress(&data);
+    bench(
+        "range_coder/decompress_incompressible_4m",
+        3,
         Some(data.len()),
         || decompress(std::hint::black_box(&packed)).unwrap(),
     );
@@ -82,6 +109,37 @@ fn bench_delta_codec() {
         20,
         Some(old.len()),
         || codec.decode(std::hint::black_box(&old), &delta).unwrap(),
+    );
+
+    // The real case: the deltas of a recorded ResNet12, which carry its
+    // weights and are nearly incompressible.
+    let (_session, out) = grt_bench::record_warm(
+        &grt_ml::zoo::resnet12(),
+        grt_core::session::RecorderMode::OursMDS,
+        grt_net::NetConditions::wifi(),
+    );
+    let recording = grt_ir::recording::Recording::from_bytes(&out.recording.bytes).unwrap();
+    let deltas: Vec<(usize, &[u8])> = recording
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            grt_ir::recording::Event::LoadMemDelta { len, delta, .. } => {
+                Some((*len as usize, &delta[..]))
+            }
+            _ => None,
+        })
+        .collect();
+    let region_bytes = deltas.iter().map(|(len, _)| len).sum();
+    bench(
+        "delta_codec/decode_golden_resnet12",
+        3,
+        Some(region_bytes),
+        || {
+            deltas
+                .iter()
+                .map(|(len, d)| codec.parse_limited(std::hint::black_box(d), *len).unwrap())
+                .collect::<Vec<_>>()
+        },
     );
 }
 

@@ -5,6 +5,7 @@
 //! against their previous contents so the entropy coder sees mostly zeros.
 
 use crate::{compress, decompress_limited, CorruptStream};
+use std::ops::Range;
 
 /// A page-delta codec with a fixed page size.
 ///
@@ -128,12 +129,12 @@ impl DeltaCodec {
             return Err(CorruptStream);
         }
         let npages = cur.u32()? as usize;
-        let mut pages: Vec<(u32, Vec<u8>)> = Vec::with_capacity(npages.min(1024));
+        let mut pages: Vec<(u32, Range<usize>)> = Vec::with_capacity(npages.min(1024));
         let mut prev: Option<u32> = None;
         for _ in 0..npages {
             let page = cur.u32()?;
             let len = cur.u32()? as usize;
-            let xor = cur.bytes(len)?;
+            let xor = cur.span(len)?;
             if xor.len() > self.page_size {
                 return Err(CorruptStream);
             }
@@ -148,7 +149,7 @@ impl DeltaCodec {
             if end > new_len {
                 return Err(CorruptStream);
             }
-            pages.push((page, xor.to_vec()));
+            pages.push((page, xor));
         }
         if !cur.at_end() {
             return Err(CorruptStream);
@@ -156,6 +157,7 @@ impl DeltaCodec {
         Ok(ParsedDelta {
             page_size: self.page_size,
             new_len,
+            raw,
             pages,
         })
     }
@@ -179,7 +181,9 @@ impl DeltaCodec {
 pub struct ParsedDelta {
     page_size: usize,
     new_len: usize,
-    pages: Vec<(u32, Vec<u8>)>,
+    /// The decompressed payload; every page's XOR bytes are a range of it.
+    raw: Vec<u8>,
+    pages: Vec<(u32, Range<usize>)>,
 }
 
 impl ParsedDelta {
@@ -190,8 +194,10 @@ impl ParsedDelta {
 
     /// Changed pages as `(page_index, xor_bytes)`, strictly increasing by
     /// index; each XOR slice fits in one page and inside `new_len`.
-    pub fn pages(&self) -> &[(u32, Vec<u8>)] {
-        &self.pages
+    pub fn pages(&self) -> impl ExactSizeIterator<Item = (u32, &[u8])> + '_ {
+        self.pages
+            .iter()
+            .map(|(page, xor)| (*page, &self.raw[xor.clone()]))
     }
 
     /// Total XOR payload bytes across all changed pages.
@@ -207,15 +213,14 @@ impl ParsedDelta {
         let mut out = vec![0u8; self.new_len];
         let copy_len = old.len().min(self.new_len);
         out[..copy_len].copy_from_slice(&old[..copy_len]);
-        for (page, xor) in &self.pages {
-            let start = *page as usize * self.page_size;
-            // Rebuild the page: old ^ xor where old existed, else xor.
-            for (i, &x) in xor.iter().enumerate() {
-                let o = old.get(start + i).copied().unwrap_or(0);
-                out[start + i] = o ^ x;
+        // `out` holds old where old existed and zero past its end, so
+        // XORing in place rebuilds each page. Parsing bounded every page
+        // inside `new_len`.
+        for (page, xor) in self.pages() {
+            let start = page as usize * self.page_size;
+            for (o, &x) in out[start..start + xor.len()].iter_mut().zip(xor) {
+                *o ^= x;
             }
-            // Pages that shrank relative to old are already handled because
-            // `out` was truncated to `new_len` up front.
         }
         out
     }
@@ -232,14 +237,20 @@ impl<'a> Cursor<'a> {
         Cursor { data, pos: 0 }
     }
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CorruptStream> {
+    /// The range of the next `n` bytes, consumed.
+    fn span(&mut self, n: usize) -> Result<Range<usize>, CorruptStream> {
         let end = self.pos.checked_add(n).ok_or(CorruptStream)?;
         if end > self.data.len() {
             return Err(CorruptStream);
         }
-        let s = &self.data[self.pos..end];
+        let span = self.pos..end;
         self.pos = end;
-        Ok(s)
+        Ok(span)
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CorruptStream> {
+        let span = self.span(n)?;
+        Ok(&self.data[span])
     }
 
     fn u32(&mut self) -> Result<u32, CorruptStream> {

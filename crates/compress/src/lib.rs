@@ -21,7 +21,7 @@ pub mod delta;
 pub mod range;
 
 pub use delta::{DeltaCodec, ParsedDelta};
-pub use range::{range_compress, range_decompress, RangeDecoder, RangeEncoder};
+pub use range::{range_compress, range_decompress};
 
 /// Compresses `data` with the adaptive range coder.
 ///

@@ -634,7 +634,7 @@ impl Replayer {
                 {
                     let mut mem = self.device_mem.borrow_mut();
                     for (page, xor) in d.parsed.pages() {
-                        mem.xor_range(d.pa + u64::from(*page) * grt_gpu::PAGE_SIZE as u64, xor);
+                        mem.xor_range(d.pa + u64::from(page) * grt_gpu::PAGE_SIZE as u64, xor);
                     }
                 }
                 // Batched replay: metastate evolves identically across
@@ -645,7 +645,7 @@ impl Replayer {
                 for lane in self.device_gpu.borrow().batch_lanes() {
                     let mut lmem = lane.borrow_mut();
                     for (page, xor) in d.parsed.pages() {
-                        lmem.xor_range(d.pa + u64::from(*page) * grt_gpu::PAGE_SIZE as u64, xor);
+                        lmem.xor_range(d.pa + u64::from(page) * grt_gpu::PAGE_SIZE as u64, xor);
                     }
                 }
                 let time = prices.delta(d);

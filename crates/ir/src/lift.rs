@@ -183,10 +183,14 @@ impl<'a> Lifter<'a> {
         let index = self.deltas.len() as u32;
         let parsed = self.codec.parse_limited(delta, len as usize).ok();
         if let Some(p) = &parsed {
+            // The parse bounds `new_len` by the region length, so XORing
+            // the pages in place equals dump, apply and restore of the
+            // region, as in the replayer.
+            for (page, xor) in p.pages() {
+                self.shadow
+                    .xor_range(pa.wrapping_add(u64::from(page) * PAGE_SIZE as u64), xor);
+            }
             if len > 0 {
-                let current = self.shadow.dump_range(pa, len as usize);
-                let new = p.apply(&current);
-                self.shadow.restore_range(pa, &new);
                 self.mem_version += 1;
             }
         }

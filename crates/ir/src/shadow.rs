@@ -43,20 +43,23 @@ impl ShadowMem {
         out
     }
 
-    /// Writes `data` at `pa`, materializing pages as needed.
-    pub fn restore_range(&mut self, pa: u64, data: &[u8]) {
+    /// XORs `xor` into the bytes at `pa`, materializing pages as needed:
+    /// the in-place delta application of `Memory::xor_range`.
+    pub fn xor_range(&mut self, pa: u64, xor: &[u8]) {
         let ps = Self::page_size();
         let mut off = 0usize;
-        while off < data.len() {
-            let cur = pa + off as u64;
+        while off < xor.len() {
+            let cur = pa.wrapping_add(off as u64);
             let page = cur / ps * ps;
             let in_page = (cur - page) as usize;
-            let n = (ps as usize - in_page).min(data.len() - off);
+            let n = (ps as usize - in_page).min(xor.len() - off);
             let p = self
                 .pages
                 .entry(page)
                 .or_insert_with(|| vec![0u8; ps as usize]);
-            p[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            for (b, &x) in p[in_page..in_page + n].iter_mut().zip(&xor[off..off + n]) {
+                *b ^= x;
+            }
             off += n;
         }
     }
@@ -187,10 +190,12 @@ mod tests {
     fn sparse_read_write_round_trips() {
         let mut s = ShadowMem::new();
         assert_eq!(s.dump_range(0x5000, 8), vec![0u8; 8]);
-        s.restore_range(0x5FFE, &[1, 2, 3, 4]); // Straddles a page boundary.
+        s.xor_range(0x5FFE, &[1, 2, 3, 4]); // Straddles a page boundary.
         assert_eq!(s.dump_range(0x5FFE, 4), vec![1, 2, 3, 4]);
         assert_eq!(s.resident_pages(), 2);
         assert_eq!(s.dump_range(0x5FFC, 2), vec![0, 0]);
+        s.xor_range(0x5FFF, &[0xFF, 0x0F]);
+        assert_eq!(s.dump_range(0x5FFE, 4), vec![1, 0xFD, 0x0C, 4]);
     }
 
     #[test]
@@ -236,7 +241,7 @@ mod tests {
         for page in (0..size as u64).step_by(4096) {
             mem.read(page, &mut buf, Accessor::Cpu).unwrap();
             if buf.iter().any(|&b| b != 0) {
-                shadow.restore_range(page, &buf);
+                shadow.xor_range(page, &buf);
             }
         }
         let summary = walk(&shadow, root, 3);

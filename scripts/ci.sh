@@ -35,8 +35,11 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q"
 cargo test -q
 
-echo "==> workspace unit tests: cargo test -q --workspace --lib"
-cargo test -q --workspace --lib
+# Every other crate's unit tests, integration tests (the delta codec's
+# adversarial corpus, the lint gate) and doctests. Tier-1 above already
+# ran the root package's.
+echo "==> workspace tests: cargo test -q --workspace --exclude gpu-replay-tz"
+cargo test -q --workspace --exclude gpu-replay-tz
 
 # The two-clock benchmark is a package of its own (empty [workspace]), so
 # neither tier-1 nor --workspace reaches its unit tests.
@@ -58,6 +61,18 @@ echo "==> recording lint gate: record + lint the golden corpus"
 GOLDEN_DIR="$(mktemp -d)"
 trap 'rm -rf "$GOLDEN_DIR"' EXIT
 cargo run --release -q -p grt-bench --bin recording-lint -- --record-golden "$GOLDEN_DIR"
+
+# Wire-format gate: the golden corpus must be byte-identical to the
+# checked-in digests, so a codec or recorder rewrite that claims "same
+# bytes on the wire" is checked. A change that alters the recorded bytes
+# regenerates the file in the same change and says so:
+#   (cd "$GOLDEN_DIR" && sha256sum *.grt) > scripts/golden_recordings.sha256
+echo "==> golden corpus bytes: sha256sum -c scripts/golden_recordings.sha256"
+GOLDEN_SUMS="$(pwd)/scripts/golden_recordings.sha256"
+(cd "$GOLDEN_DIR" && sha256sum -c --quiet "$GOLDEN_SUMS") || {
+    echo "ci: golden recordings differ from scripts/golden_recordings.sha256" >&2
+    exit 1
+}
 cargo run --release -q -p grt-bench --bin recording-lint -- "$GOLDEN_DIR"/*.grt \
     > "$GOLDEN_DIR/lint_a.json"
 
