@@ -248,9 +248,9 @@ fn bench_inference() {
     );
     let out = s.record(&spec).unwrap();
     let key = s.recording_key();
-    let weights = grt_core::replay::workload_weights(&spec);
+    let weights = grt_ml::reference::workload_weights(&spec);
     let mut replayer =
-        grt_core::replay::Replayer::new(&s.client, std::rc::Rc::new(grt_lint::Linter::new()));
+        grt_replay::replay::Replayer::new(&s.client, std::rc::Rc::new(grt_lint::Linter::new()));
     bench("end_to_end/replay_mnist", 20, None, || {
         replayer
             .replay(std::hint::black_box(&out.recording), &key, &input, &weights)

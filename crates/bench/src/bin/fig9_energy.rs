@@ -7,10 +7,10 @@
 //! Run: `cargo run --release -p grt-bench --bin fig9_energy`
 
 use grt_bench::{bar, benchmarks, header, record_warm, short_name};
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::RecorderMode;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 use grt_sim::Rail;
 
 fn main() {

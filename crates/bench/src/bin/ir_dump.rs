@@ -15,8 +15,8 @@
 //! ```
 
 use grt_bench::signed_from_blob;
-use grt_core::session::recording_trust_root;
 use grt_gpu::GpuSku;
+use grt_replay::client::recording_trust_root;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

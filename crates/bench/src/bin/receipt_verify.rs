@@ -29,10 +29,10 @@
 
 use grt_attest::{AttestationExport, ReplayReceipt};
 use grt_bench::benchmarks;
-use grt_core::replay::{workload_weights, Replayer};
-use grt_core::session::{ClientDevice, PROVISIONING_SECRET};
 use grt_gpu::GpuSku;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
+use grt_replay::client::{ClientDevice, PROVISIONING_SECRET};
+use grt_replay::replay::Replayer;
 use grt_serve::{RecordingRegistry, RegistryConfig};
 use grt_sim::{Clock, Stats};
 use std::path::Path;

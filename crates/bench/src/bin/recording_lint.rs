@@ -20,10 +20,11 @@
 //! positives on known-good recordings.
 
 use grt_bench::{benchmarks, record_warm, signed_from_blob, signed_to_blob};
-use grt_core::session::{recording_trust_root, RecorderMode};
+use grt_core::session::RecorderMode;
 use grt_gpu::GpuSku;
 use grt_lint::Linter;
 use grt_net::NetConditions;
+use grt_replay::client::recording_trust_root;
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -39,10 +39,10 @@
 //! Usage: `replay_bench [--batch B]`
 
 use grt_bench::{benchmarks, record_warm};
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::RecorderMode;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 use std::rc::Rc;
 
 /// Integer events-per-second over a nanosecond cost: deterministic math,
@@ -59,11 +59,11 @@ fn main() -> std::process::ExitCode {
     let batch = match args.as_slice() {
         [] => None,
         [flag, b] if flag == "--batch" => match b.parse::<usize>() {
-            Ok(b) if (2..=grt_core::compiled::MAX_BATCH).contains(&b) => Some(b),
+            Ok(b) if (2..=grt_replay::compiled::MAX_BATCH).contains(&b) => Some(b),
             _ => {
                 eprintln!(
                     "replay_bench: --batch must be in 2..={}",
-                    grt_core::compiled::MAX_BATCH
+                    grt_replay::compiled::MAX_BATCH
                 );
                 return std::process::ExitCode::from(2);
             }

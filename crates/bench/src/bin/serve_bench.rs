@@ -41,10 +41,10 @@
 
 use grt_attest::ReplayReceipt;
 use grt_bench::{benchmarks, fleet_of, heterogeneous_fleet};
-use grt_core::replay::{workload_weights, Replayer};
-use grt_core::session::{ClientDevice, PROVISIONING_SECRET};
 use grt_gpu::GpuSku;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
+use grt_replay::client::{ClientDevice, PROVISIONING_SECRET};
+use grt_replay::replay::Replayer;
 use grt_serve::{
     generate_trace, Fleet, FleetConfig, SchedulerKind, ServeReport, ServiceMode, TraceConfig,
 };
@@ -341,10 +341,10 @@ fn main() -> std::process::ExitCode {
         return usage();
     };
     let max_batch = max_batch.unwrap_or(1);
-    if !(1..=grt_core::compiled::MAX_BATCH).contains(&max_batch) {
+    if !(1..=grt_replay::compiled::MAX_BATCH).contains(&max_batch) {
         eprintln!(
             "serve_bench: --batch must be in 1..={}",
-            grt_core::compiled::MAX_BATCH
+            grt_replay::compiled::MAX_BATCH
         );
         return usage();
     }

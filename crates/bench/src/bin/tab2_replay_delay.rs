@@ -8,11 +8,11 @@
 //! Run: `cargo run --release -p grt-bench --bin tab2_replay_delay`
 
 use grt_bench::{benchmarks, header, record_warm, short_name};
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::RecorderMode;
 use grt_gpu::GpuSku;
-use grt_ml::reference::{test_input, ReferenceNet};
+use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 use grt_runtime::NativeStack;
 
 fn main() {

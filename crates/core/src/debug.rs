@@ -14,10 +14,10 @@
 //!   diverges from the recorded behaviour, without aborting at the first
 //!   mismatch (unlike the replayer, whose job is to refuse).
 
-use crate::compiled::decode_poll;
-use crate::session::ClientDevice;
 use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ir::recording::{irq_line_from, Event, Recording};
+use grt_replay::client::{give_back_gpu, take_gpu, ClientDevice};
+use grt_replay::compiled::decode_poll;
 use grt_sim::SimTime;
 
 /// One observed divergence between two interaction logs (or between a log
@@ -161,9 +161,11 @@ pub fn diff_recordings(reference: &Recording, other: &Recording) -> Vec<Divergen
 ///
 /// Unlike the replayer this never aborts: a vendor wants the *complete*
 /// divergence report from a malfunctioning device. Inputs/weights are not
-/// injected (the audit is a dry run, like the record phase itself).
+/// injected (the audit is a dry run, like the record phase itself). It
+/// holds the GPU in the secure world while it drives it, as replay does.
 pub fn audit_replay(device: &ClientDevice, recording: &Recording) -> Vec<Divergence> {
     let mut out = Vec::new();
+    take_gpu(&device.tzasc, &device.monitor);
     device.gpu.borrow_mut().hard_reset_now();
     device.mem.borrow_mut().wipe();
     let codec = grt_compress::DeltaCodec::new(grt_gpu::PAGE_SIZE);
@@ -230,24 +232,31 @@ pub fn audit_replay(device: &ClientDevice, recording: &Recording) -> Vec<Diverge
                 }
             }
             Event::LoadMemDelta { pa, len, delta } => {
+                // Bounded by the carveout and applied in place, as the
+                // replayer and the lifter apply it.
                 let len = (*len as usize).min(device.mem.borrow().size());
-                let current = device.mem.borrow().dump_range(*pa, len);
-                if let Ok(new) = codec.decode_limited(&current, delta, len) {
-                    device.mem.borrow_mut().restore_range(*pa, &new);
-                } else {
+                let Ok(parsed) = codec.parse_limited(delta, len) else {
                     out.push(Divergence::MemDelta { index, pa: *pa });
+                    continue;
+                };
+                let mut mem = device.mem.borrow_mut();
+                for (page, xor) in parsed.pages() {
+                    mem.xor_range(
+                        pa.wrapping_add(u64::from(page) * grt_gpu::PAGE_SIZE as u64),
+                        xor,
+                    );
                 }
             }
         }
     }
-    device.gpu.borrow_mut().hard_reset_now();
+    give_back_gpu(&device.gpu, &device.tzasc, &device.monitor);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{ClientDevice, RecordSession, RecorderMode};
+    use crate::session::{RecordSession, RecorderMode};
     use grt_gpu::GpuSku;
     use grt_net::NetConditions;
     use grt_sim::{Clock, Stats};
@@ -338,6 +347,37 @@ mod tests {
             diffs.contains(&Divergence::PollStuck { index, reg }),
             "undefined poll condition not reported: {diffs:?}"
         );
+    }
+
+    #[test]
+    fn audit_reports_corrupt_delta_and_keeps_walking() {
+        let (s, mut rec) = recorded(GpuSku::mali_g71_mp8());
+        let deltas: Vec<(usize, u64)> = rec
+            .events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e {
+                Event::LoadMemDelta { pa, .. } => Some((i, *pa)),
+                _ => None,
+            })
+            .collect();
+        assert!(deltas.len() >= 2, "need two deltas: {deltas:?}");
+        // Corrupt the first and the last delta: both must be reported, so
+        // the audit walked past the first.
+        let corrupt = [deltas[0], deltas[deltas.len() - 1]];
+        for &(index, _) in &corrupt {
+            let Event::LoadMemDelta { delta, .. } = &mut rec.events[index] else {
+                unreachable!()
+            };
+            *delta = vec![1, 2, 3];
+        }
+        let diffs = audit_replay(&s.client, &rec);
+        for (index, pa) in corrupt {
+            assert!(
+                diffs.contains(&Divergence::MemDelta { index, pa }),
+                "corrupt delta at {index} not reported: {diffs:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,17 +25,15 @@
 //! plus client→cloud sync. Everything the client executes is appended to
 //! the recording in execution order.
 
-use crate::client::{encode_batch, GpuShim, WireAccess};
 use crate::memsync::{MemSync, SyncError, SyncMode};
 use grt_crypto::SecureChannel;
-use grt_driver::{
-    Loc, LockId, PollCond, PollResult, PollSpec, RegPort, RegVal, SpecToken, SymSlot,
-};
+use grt_driver::{Loc, LockId, RegPort, RegVal, SpecToken, SymSlot};
 use grt_gpu::mem::Memory;
 use grt_gpu::regs::{gpu_control as gc, job_control as jc};
-use grt_gpu::IrqLine;
+use grt_gpu::{IrqLine, PollCond, PollResult, PollSpec};
 use grt_ir::recording::{Event, RecordingBuilder};
 use grt_net::{Direction, Link};
+use grt_replay::client::{encode_batch, GpuShim, WireAccess};
 use grt_sim::{Clock, SimTime, Stats, Trace};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -571,7 +569,7 @@ impl DriverShim {
                 .open(&sealed)
                 .expect("sealed commit authenticates at the client");
             debug_assert_eq!(
-                crate::client::decode_batch(&plain).map(|b| b.len()),
+                grt_replay::client::decode_batch(&plain).map(|b| b.len()),
                 Some(wire.len())
             );
         }
@@ -1246,7 +1244,7 @@ mod tests {
             PollSpec {
                 reg: gc::GPU_IRQ_RAWSTAT,
                 mask: gc::IRQ_CLEAN_CACHES_COMPLETED,
-                cond: grt_driver::PollCond::MaskedNonZero,
+                cond: grt_gpu::PollCond::MaskedNonZero,
                 max_iters: 100,
                 delay_us: 5,
             },
@@ -1267,7 +1265,7 @@ mod tests {
             PollSpec {
                 reg: gc::GPU_IRQ_RAWSTAT,
                 mask: gc::IRQ_CLEAN_CACHES_COMPLETED,
-                cond: grt_driver::PollCond::MaskedNonZero,
+                cond: grt_gpu::PollCond::MaskedNonZero,
                 max_iters: 100,
                 delay_us: 5,
             },
@@ -1426,7 +1424,7 @@ mod trace_tests {
         )));
         let tzasc = Rc::new(Tzasc::new());
         let monitor = SecureMonitor::new(&clock);
-        let client = Rc::new(RefCell::new(crate::client::GpuShim::new(
+        let client = Rc::new(RefCell::new(grt_replay::client::GpuShim::new(
             &clock,
             &gpu,
             &client_mem,

@@ -20,11 +20,11 @@
 //! the shipped regions is unmapped (any spurious driver access traps); the
 //! client unmaps the GPU's view while the GPU is idle.
 
-use crate::client::GpuShim;
 use grt_compress::DeltaCodec;
 use grt_driver::RegionTable;
 use grt_gpu::mem::{Memory, PageFlags};
 use grt_ir::recording::Event;
+use grt_replay::client::GpuShim;
 use grt_sim::Stats;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;

@@ -13,21 +13,22 @@
 //! (weights never leave the client), run it layer by layer with per-layer
 //! power cycling, and finally sign the recording and download it.
 
-use crate::client::GpuShim;
 use crate::drivershim::{DriverShim, ShimConfig};
 use grt_crypto::{AttestationReport, KeyPair};
 use grt_driver::{DriverError, JobIrqOutcome, KbaseDriver, RegionTable};
 use grt_gpu::mem::Memory;
-use grt_gpu::{Gpu, GpuSku};
-use grt_ir::gate::CLIENT_MEM_BYTES;
+use grt_gpu::GpuSku;
 use grt_ir::recording::{DataSlot, SignedRecording};
 use grt_ml::NetworkSpec;
 use grt_net::{Direction, Link, NetConditions, RadioPower};
 use grt_runtime::{compile_network_dry, CompiledNetwork};
-use grt_sim::{Clock, EnergyMeter, Rail, SimTime, Stats};
-use grt_tee::{SecureMonitor, Tzasc};
+use grt_sim::{Clock, SimTime, Stats};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+// The client device and its trust root live in the client TEE crate; kept
+// at this path for the benchmark package until the benchmark next changes.
+pub use grt_replay::client::{recording_trust_root, ClientDevice, PROVISIONING_SECRET};
 
 /// The four recorder builds evaluated in §7.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,73 +155,6 @@ impl std::error::Error for RecordError {}
 impl From<DriverError> for RecordError {
     fn from(e: DriverError) -> Self {
         RecordError::Driver(e)
-    }
-}
-
-/// The client mobile device: everything inside and around its TEE.
-pub struct ClientDevice {
-    /// Shared virtual clock.
-    pub clock: Rc<Clock>,
-    /// Shared counters.
-    pub stats: Rc<Stats>,
-    /// Client DRAM.
-    pub mem: Rc<RefCell<Memory>>,
-    /// The physical GPU.
-    pub gpu: Rc<RefCell<Gpu>>,
-    /// Address-space controller.
-    pub tzasc: Rc<Tzasc>,
-    /// Secure monitor.
-    pub monitor: Rc<SecureMonitor>,
-    /// GPUShim (the TEE module).
-    pub shim: Rc<RefCell<GpuShim>>,
-    /// Whole-device energy meter.
-    pub energy: Rc<EnergyMeter>,
-}
-
-/// The provisioning secret shared by the cloud VM and client TEEs after
-/// the attested handshake. Every record session derives its channel and
-/// recording-signing keys from this, so recordings produced by any
-/// session verify under one fleet-wide trust root (see
-/// [`recording_trust_root`]).
-pub const PROVISIONING_SECRET: &[u8] = b"grt-session-handshake";
-
-/// The recording-verification key a client TEE holds: the key every
-/// [`RecordSession`] signs its recordings with. Serving-side components
-/// (the `grt-serve` recording registry, fleet replay services) use this
-/// to verify recordings without holding a live session.
-pub fn recording_trust_root() -> KeyPair {
-    KeyPair::derive(PROVISIONING_SECRET, "recording")
-}
-
-/// SoC base draw while the device is awake (Figure 9 calibration).
-const SOC_BASE_WATTS: f64 = 0.22;
-
-impl ClientDevice {
-    /// Builds a client device around `sku`, on the given clock, with
-    /// [`CLIENT_MEM_BYTES`] of DRAM — the protected carveout recordings
-    /// may address.
-    pub fn new(sku: GpuSku, clock: &Rc<Clock>, stats: &Rc<Stats>, channel_secret: &[u8]) -> Self {
-        let mem = Rc::new(RefCell::new(Memory::new(CLIENT_MEM_BYTES)));
-        let gpu = Rc::new(RefCell::new(Gpu::new(sku, clock, &mem)));
-        let tzasc = Rc::new(Tzasc::new());
-        let monitor = SecureMonitor::new(clock);
-        let energy = EnergyMeter::new(clock);
-        energy.set_power(Rail::Soc, SOC_BASE_WATTS);
-        // The client CPU idles through most of a record run (the stack
-        // runs in the cloud); GPUShim's message handling rides on top.
-        energy.set_power(Rail::Cpu, 0.03);
-        let mut shim = GpuShim::new(clock, &gpu, &mem, &tzasc, &monitor, channel_secret);
-        shim.attach_energy(&energy);
-        ClientDevice {
-            clock: Rc::clone(clock),
-            stats: Rc::clone(stats),
-            mem,
-            gpu,
-            tzasc,
-            monitor,
-            shim: Rc::new(RefCell::new(shim)),
-            energy,
-        }
     }
 }
 

@@ -6,14 +6,14 @@
 //! real analyzer plugs straight into `Replayer::new`. The gate is a trait
 //! so tests can also substitute fakes, like the counting gate below.
 
-use grt_core::replay::{workload_weights, ReplayError, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
 use grt_ir::gate::{RecordingGate, Rejection};
 use grt_ir::recording::{Event, SignedRecording};
 use grt_ir::IrProgram;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_net::NetConditions;
+use grt_replay::replay::{ReplayError, Replayer};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -75,7 +75,7 @@ fn lint_gate_refuses_sabotaged_recording_before_execution() {
     assert!(s
         .client
         .tzasc
-        .owner_of(grt_core::client::GPU_MMIO_BASE)
+        .owner_of(grt_replay::client::GPU_MMIO_BASE)
         .is_none());
 }
 

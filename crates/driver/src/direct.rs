@@ -6,8 +6,8 @@
 //! and costs on-chip latency (sub-microsecond), polling loops really spin,
 //! and values are always concrete.
 
-use crate::port::{Loc, LockId, PollResult, PollSpec, RegPort, RegVal};
-use grt_gpu::Gpu;
+use crate::port::{Loc, LockId, RegPort, RegVal};
+use grt_gpu::{Gpu, PollResult, PollSpec};
 use grt_sim::{Clock, SimTime, Stats};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -153,7 +153,7 @@ mod tests {
             PollSpec {
                 reg: gc::GPU_IRQ_RAWSTAT,
                 mask: gc::IRQ_CLEAN_CACHES_COMPLETED,
-                cond: crate::port::PollCond::MaskedNonZero,
+                cond: grt_gpu::PollCond::MaskedNonZero,
                 max_iters: 100,
                 delay_us: 5,
             },
@@ -171,7 +171,7 @@ mod tests {
             PollSpec {
                 reg: gc::GPU_IRQ_RAWSTAT,
                 mask: gc::IRQ_RESET_COMPLETED,
-                cond: crate::port::PollCond::MaskedNonZero,
+                cond: grt_gpu::PollCond::MaskedNonZero,
                 max_iters: 3,
                 delay_us: 1,
             },

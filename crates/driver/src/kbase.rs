@@ -12,12 +12,12 @@
 //! concurrently — the property GR-T's memory synchronization relies on.
 
 use crate::loc;
-use crate::port::{LockId, PollCond, PollSpec, RegPort, RegVal};
+use crate::port::{LockId, RegPort, RegVal};
 use crate::regions::{PageAlloc, Region, RegionTable, Usage};
 use grt_gpu::mem::{Accessor, Memory, PAGE_SIZE};
 use grt_gpu::mmu::{map_page, PteFlags};
 use grt_gpu::regs::{gpu_control as gc, job_control as jc, mmu_control as mc};
-use grt_gpu::GpuSku;
+use grt_gpu::{GpuSku, PollCond, PollSpec};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;

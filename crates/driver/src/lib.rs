@@ -23,5 +23,5 @@ pub mod regions;
 
 pub use direct::DirectPort;
 pub use kbase::{DriverError, JobIrqOutcome, KbaseDriver, PerfSample};
-pub use port::{Loc, LockId, PollCond, PollResult, PollSpec, RegPort, RegVal, SpecToken, SymSlot};
+pub use port::{Loc, LockId, RegPort, RegVal, SpecToken, SymSlot};
 pub use regions::{PageAlloc, Region, RegionTable, Usage};

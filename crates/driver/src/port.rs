@@ -22,6 +22,7 @@
 //! (CPU and GPU co-located — the paper's baseline and the record target's
 //! physical side) and `grt-core`'s DriverShim (the contribution).
 
+use grt_gpu::{PollResult, PollSpec};
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
@@ -302,56 +303,6 @@ impl std::ops::BitXor<u32> for RegVal {
     }
 }
 
-/// Loop-exit condition of a simple polling loop (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollCond {
-    /// Exit when `(reg & mask) == 0`.
-    MaskedZero,
-    /// Exit when `(reg & mask) != 0`.
-    MaskedNonZero,
-    /// Exit when `(reg & mask) == value`.
-    MaskedEq(u32),
-}
-
-impl PollCond {
-    /// Evaluates the exit condition against a read value.
-    pub fn satisfied(&self, raw: u32, mask: u32) -> bool {
-        let v = raw & mask;
-        match self {
-            PollCond::MaskedZero => v == 0,
-            PollCond::MaskedNonZero => v != 0,
-            PollCond::MaskedEq(x) => v == *x,
-        }
-    }
-}
-
-/// A simple polling loop, statically extracted per §4.3: idempotent body,
-/// local iteration count, no kernel APIs inside.
-#[derive(Debug, Clone, Copy)]
-pub struct PollSpec {
-    /// Register polled.
-    pub reg: u32,
-    /// Mask applied before the comparison.
-    pub mask: u32,
-    /// Exit condition.
-    pub cond: PollCond,
-    /// Maximum iterations before giving up (`MAX_LOOP` in Listing 2).
-    pub max_iters: u32,
-    /// Per-iteration delay in microseconds (the loop's `udelay`).
-    pub delay_us: u64,
-}
-
-/// The outcome of a polling loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PollResult {
-    /// Iterations executed (1 = condition already true at first read).
-    pub iters: u32,
-    /// The final value read from the register.
-    pub final_val: u32,
-    /// Whether the exit condition was met within `max_iters`.
-    pub satisfied: bool,
-}
-
 /// Kernel lock identities the driver uses (a small fixed set, as in kbase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockId {
@@ -470,15 +421,6 @@ mod tests {
         assert_eq!(v.live_taints().len(), 1);
         t2.validate();
         assert!(!v.is_tainted());
-    }
-
-    #[test]
-    fn poll_cond_semantics() {
-        assert!(PollCond::MaskedZero.satisfied(0xF0, 0x0F));
-        assert!(!PollCond::MaskedZero.satisfied(0x01, 0x0F));
-        assert!(PollCond::MaskedNonZero.satisfied(0x01, 0x0F));
-        assert!(PollCond::MaskedEq(0x0A).satisfied(0xFA, 0x0F));
-        assert!(!PollCond::MaskedEq(0x0A).satisfied(0xFB, 0x0F));
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub mod sku;
 pub use fusion::{FusedDirective, TailAdd};
 pub use gpu::{ExecStats, Gpu, IrqLine};
 pub use job::{JobDescriptor, JobStatus};
-pub use mem::{Memory, PageFlags, PAGE_SIZE};
+pub use mem::{Memory, PageFlags, UploadScratch, PAGE_SIZE};
 pub use mmu::{AddressSpace, PteFlags, Tlb, TlbStats};
+pub use regs::{PollCond, PollResult, PollSpec};
 pub use shader::{ConvParams, OpKind, OpKindStats, PoolKind, ShaderOp, OP_KIND_COUNT};
 pub use sku::{CostEnvelope, GpuSku};

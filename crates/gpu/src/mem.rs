@@ -489,6 +489,29 @@ impl Memory {
     }
 }
 
+/// Reusable byte-staging buffer for the f32 → wire conversion on input
+/// upload. One inference allocates it; every subsequent inference on the
+/// same stack reuses the capacity — the executor-side analogue of the
+/// GPU's kernel scratch buffers on the fleet-serving hot path.
+#[derive(Debug, Clone, Default)]
+pub struct UploadScratch {
+    bytes: Vec<u8>,
+}
+
+impl UploadScratch {
+    /// Stages one f32 slice as its little-endian wire bytes, reusing the
+    /// buffer's capacity across calls (the batched-replay input lanes
+    /// and the executor's input upload share this conversion).
+    pub fn stage(&mut self, input: &[f32]) -> &[u8] {
+        self.bytes.clear();
+        self.bytes.reserve(input.len() * 4);
+        for v in input {
+            self.bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        &self.bytes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,8 @@
 //!
 //! Offsets and bit definitions follow the open-source Bifrost kernel driver
 //! closely enough that the driver crate reads like kbase; exact values only
-//! matter for internal consistency.
+//! matter for internal consistency. [`PollSpec`] describes a bounded
+//! polling loop over one of these registers.
 
 /// GPU control block (base `0x0000`).
 pub mod gpu_control {
@@ -270,6 +271,56 @@ pub mod mmu_control {
     pub const AS_STATUS_ACTIVE: u32 = 1 << 0;
 }
 
+/// Loop-exit condition of a simple polling loop (§4.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PollCond {
+    /// Exit when `(reg & mask) == 0`.
+    MaskedZero,
+    /// Exit when `(reg & mask) != 0`.
+    MaskedNonZero,
+    /// Exit when `(reg & mask) == value`.
+    MaskedEq(u32),
+}
+
+impl PollCond {
+    /// Evaluates the exit condition against a read value.
+    pub fn satisfied(&self, raw: u32, mask: u32) -> bool {
+        let v = raw & mask;
+        match self {
+            PollCond::MaskedZero => v == 0,
+            PollCond::MaskedNonZero => v != 0,
+            PollCond::MaskedEq(x) => v == *x,
+        }
+    }
+}
+
+/// A simple polling loop, statically extracted per §4.3: idempotent body,
+/// local iteration count, no kernel APIs inside.
+#[derive(Debug, Clone, Copy)]
+pub struct PollSpec {
+    /// Register polled.
+    pub reg: u32,
+    /// Mask applied before the comparison.
+    pub mask: u32,
+    /// Exit condition.
+    pub cond: PollCond,
+    /// Maximum iterations before giving up (`MAX_LOOP` in Listing 2).
+    pub max_iters: u32,
+    /// Per-iteration delay in microseconds (the loop's `udelay`).
+    pub delay_us: u64,
+}
+
+/// The outcome of a polling loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PollResult {
+    /// Iterations executed (1 = condition already true at first read).
+    pub iters: u32,
+    /// The final value read from the register.
+    pub final_val: u32,
+    /// Whether the exit condition was met within `max_iters`.
+    pub satisfied: bool,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,5 +347,14 @@ mod tests {
         assert!(gpu_control::L2_MMU_CONFIG < job_control::JOB_IRQ_RAWSTAT);
         assert!(job_control::slot_base(15) + 0x80 <= mmu_control::MMU_IRQ_RAWSTAT + 0x2000);
         assert!(job_control::JOB_IRQ_RAWSTAT < mmu_control::MMU_IRQ_RAWSTAT);
+    }
+
+    #[test]
+    fn poll_cond_semantics() {
+        assert!(PollCond::MaskedZero.satisfied(0xF0, 0x0F));
+        assert!(!PollCond::MaskedZero.satisfied(0x01, 0x0F));
+        assert!(PollCond::MaskedNonZero.satisfied(0x01, 0x0F));
+        assert!(PollCond::MaskedEq(0x0A).satisfied(0xFA, 0x0F));
+        assert!(!PollCond::MaskedEq(0x0A).satisfied(0xFB, 0x0F));
     }
 }

@@ -29,6 +29,24 @@ pub fn biases_for_layer(net_name: &str, layer_idx: usize, len: usize) -> Vec<f32
     (0..len).map(|_| rng.gen_f32_range(-0.1, 0.1)).collect()
 }
 
+/// Generates the real model parameters for `spec` in recording slot order
+/// (weights then bias per layer, empty buffers omitted) — the data the app
+/// provides inside the TEE at replay time.
+pub fn workload_weights(spec: &NetworkSpec) -> Vec<Vec<f32>> {
+    let mut out = Vec::new();
+    for (idx, layer) in spec.layers.iter().enumerate() {
+        let wl = layer.op.weight_len() as usize;
+        let bl = layer.op.bias_len() as usize;
+        if wl > 0 {
+            out.push(weights_for_layer(spec.name, idx, wl));
+        }
+        if bl > 0 {
+            out.push(biases_for_layer(spec.name, idx, bl));
+        }
+    }
+    out
+}
+
 /// A deterministic test input for a network.
 pub fn test_input(net: &NetworkSpec, variant: u64) -> Vec<f32> {
     let mut rng = Rng::new(fxhash(net.name) ^ 0x1279 ^ variant);

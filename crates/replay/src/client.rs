@@ -10,12 +10,14 @@
 //! - waits for GPU interrupts and forwards them (with a metastate dump) to
 //!   the cloud;
 //! - applies the cloud's metastate memory deltas into client DRAM.
+//!
+//! [`take_gpu`]/[`give_back_gpu`] are the one way the TEE holds the GPU.
 
-use grt_crypto::SecureChannel;
-use grt_driver::{PollResult, PollSpec};
+use grt_crypto::{KeyPair, SecureChannel};
 use grt_gpu::mem::Memory;
-use grt_gpu::{Gpu, IrqLine};
-use grt_sim::{Clock, EnergyMeter, Rail, SimTime};
+use grt_gpu::{Gpu, GpuSku, IrqLine, PollResult, PollSpec};
+use grt_ir::gate::CLIENT_MEM_BYTES;
+use grt_sim::{Clock, EnergyMeter, Rail, SimTime, Stats};
 use grt_tee::{SecureMonitor, Tzasc, World};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -28,6 +30,28 @@ pub const GPU_MMIO_BASE: u64 = 0xE82C_0000;
 pub const GPU_MMIO_LEN: u64 = 0x4000;
 /// The GPU's three interrupt ids (job/mmu/gpu on the HiKey960).
 pub const GPU_IRQ_IDS: [u32; 3] = [265, 266, 267];
+
+/// Takes the GPU into the secure world: the TZASC claims its MMIO window
+/// and the secure monitor routes its interrupts to the TEE (§6: "during
+/// record and replay").
+pub fn take_gpu(tzasc: &Tzasc, monitor: &SecureMonitor) {
+    tzasc.claim(GPU_MMIO_BASE, GPU_MMIO_LEN, World::Secure);
+    for irq in GPU_IRQ_IDS {
+        monitor.route_irq(irq, World::Secure);
+    }
+}
+
+/// Gives the GPU back to the normal world, resetting hardware state first
+/// (§3.2: "before and after the replay, it resets the GPU and cleans up
+/// all the hardware state"), then releasing the MMIO window and routing
+/// the interrupts back.
+pub fn give_back_gpu(gpu: &RefCell<Gpu>, tzasc: &Tzasc, monitor: &SecureMonitor) {
+    gpu.borrow_mut().hard_reset_now();
+    tzasc.release(GPU_MMIO_BASE, GPU_MMIO_LEN);
+    for irq in GPU_IRQ_IDS {
+        monitor.route_irq(irq, World::Normal);
+    }
+}
 
 /// One register access on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,22 +196,13 @@ impl GpuShim {
     /// Locks the GPU into the secure world: TZASC claim over MMIO and
     /// interrupt re-routing to the TEE (§7.1 "recording integrity").
     pub fn lock_gpu(&mut self) {
-        self.tzasc.claim(GPU_MMIO_BASE, GPU_MMIO_LEN, World::Secure);
-        for irq in GPU_IRQ_IDS {
-            self.monitor.route_irq(irq, World::Secure);
-        }
+        take_gpu(&self.tzasc, &self.monitor);
         self.locked = true;
     }
 
-    /// Releases the GPU back to the normal world, resetting hardware state
-    /// first (§3.2: "before and after the replay, it resets the GPU and
-    /// cleans up all the hardware state").
+    /// Releases the GPU back to the normal world through [`give_back_gpu`].
     pub fn unlock_gpu(&mut self) {
-        self.gpu.borrow_mut().hard_reset_now();
-        self.tzasc.release(GPU_MMIO_BASE, GPU_MMIO_LEN);
-        for irq in GPU_IRQ_IDS {
-            self.monitor.route_irq(irq, World::Normal);
-        }
+        give_back_gpu(&self.gpu, &self.tzasc, &self.monitor);
         self.locked = false;
     }
 
@@ -348,11 +363,77 @@ impl std::fmt::Debug for GpuShim {
     }
 }
 
+/// The client mobile device: everything inside and around its TEE.
+pub struct ClientDevice {
+    /// Shared virtual clock.
+    pub clock: Rc<Clock>,
+    /// Shared counters.
+    pub stats: Rc<Stats>,
+    /// Client DRAM.
+    pub mem: Rc<RefCell<Memory>>,
+    /// The physical GPU.
+    pub gpu: Rc<RefCell<Gpu>>,
+    /// Address-space controller.
+    pub tzasc: Rc<Tzasc>,
+    /// Secure monitor.
+    pub monitor: Rc<SecureMonitor>,
+    /// GPUShim (the TEE module).
+    pub shim: Rc<RefCell<GpuShim>>,
+    /// Whole-device energy meter.
+    pub energy: Rc<EnergyMeter>,
+}
+
+/// The provisioning secret shared by the cloud VM and client TEEs after
+/// the attested handshake. Every record session derives its channel and
+/// recording-signing keys from this, so recordings produced by any
+/// session verify under one fleet-wide trust root (see
+/// [`recording_trust_root`]).
+pub const PROVISIONING_SECRET: &[u8] = b"grt-session-handshake";
+
+/// The recording-verification key a client TEE holds: the key every
+/// record session signs its recordings with. Serving-side components
+/// (the `grt-serve` recording registry, fleet replay services) use this
+/// to verify recordings without holding a live session.
+pub fn recording_trust_root() -> KeyPair {
+    KeyPair::derive(PROVISIONING_SECRET, "recording")
+}
+
+/// SoC base draw while the device is awake (Figure 9 calibration).
+const SOC_BASE_WATTS: f64 = 0.22;
+
+impl ClientDevice {
+    /// Builds a client device around `sku`, on the given clock, with
+    /// [`CLIENT_MEM_BYTES`] of DRAM — the protected carveout recordings
+    /// may address.
+    pub fn new(sku: GpuSku, clock: &Rc<Clock>, stats: &Rc<Stats>, channel_secret: &[u8]) -> Self {
+        let mem = Rc::new(RefCell::new(Memory::new(CLIENT_MEM_BYTES)));
+        let gpu = Rc::new(RefCell::new(Gpu::new(sku, clock, &mem)));
+        let tzasc = Rc::new(Tzasc::new());
+        let monitor = SecureMonitor::new(clock);
+        let energy = EnergyMeter::new(clock);
+        energy.set_power(Rail::Soc, SOC_BASE_WATTS);
+        // The client CPU idles through most of a record run (the stack
+        // runs in the cloud); GPUShim's message handling rides on top.
+        energy.set_power(Rail::Cpu, 0.03);
+        let mut shim = GpuShim::new(clock, &gpu, &mem, &tzasc, &monitor, channel_secret);
+        shim.attach_energy(&energy);
+        ClientDevice {
+            clock: Rc::clone(clock),
+            stats: Rc::clone(stats),
+            mem,
+            gpu,
+            tzasc,
+            monitor,
+            shim: Rc::new(RefCell::new(shim)),
+            energy,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use grt_gpu::regs::gpu_control as gc;
-    use grt_gpu::GpuSku;
     use grt_tee::AccessDecision;
 
     fn shim() -> (Rc<Clock>, Rc<Tzasc>, GpuShim) {
@@ -437,7 +518,7 @@ mod tests {
         let r = s.run_poll(&PollSpec {
             reg: gc::GPU_IRQ_RAWSTAT,
             mask: gc::IRQ_CLEAN_CACHES_COMPLETED,
-            cond: grt_driver::PollCond::MaskedNonZero,
+            cond: grt_gpu::PollCond::MaskedNonZero,
             max_iters: 100,
             delay_us: 5,
         });

@@ -7,8 +7,8 @@
 //! parameters into the recorded slots, and walks the arena: register
 //! writes go to the hardware, deterministic reads are checked, polls and
 //! interrupt waits pace execution, memory deltas rebuild the metastate.
-//! Before and after a replay the GPU is reset and the TZASC holds it in the
-//! secure world.
+//! Before and after a replay the GPU is reset, and while it runs the TEE
+//! holds the GPU ([`crate::client::take_gpu`]).
 //!
 //! There is one walk. One-shot [`Replayer::replay`] lowers with fusion off
 //! and charges the interpreted prices; warm [`Replayer::replay_compiled`],
@@ -16,14 +16,12 @@
 //! a recording lowered once by [`Replayer::compile_signed`] and charge the
 //! compiled prices (DESIGN.md §9). The prices are the only difference.
 
+use crate::client::{give_back_gpu, take_gpu, ClientDevice, PROVISIONING_SECRET};
 use crate::compiled::{lower, CompileError, CompiledRecording, Op, PreparedDelta, MAX_BATCH};
-use crate::session::ClientDevice;
 use grt_attest::{ReceiptCounters, ReplayReceipt};
 use grt_crypto::{KeyPair, Sha256};
 use grt_ir::gate::RecordingGate;
 use grt_ir::recording::{DataSlot, SignedRecording};
-use grt_ml::reference::{biases_for_layer, weights_for_layer};
-use grt_ml::NetworkSpec;
 use grt_sim::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -73,8 +71,6 @@ const COMPILED: PriceTable = PriceTable {
 /// One-time per-event cost of lowering a recording into its compiled form
 /// (decode + validate + intern), charged in [`Replayer::compile_signed`].
 const COMPILE_EVENT_TIME: SimTime = SimTime::from_nanos(300);
-
-pub use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 
 /// Replay failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,30 +197,13 @@ impl ReplayProfile {
     }
 }
 
-/// Generates the real model parameters for `spec` in recording slot order
-/// (weights then bias per layer, empty buffers omitted) — the data the app
-/// provides inside the TEE at replay time.
-pub fn workload_weights(spec: &NetworkSpec) -> Vec<Vec<f32>> {
-    let mut out = Vec::new();
-    for (idx, layer) in spec.layers.iter().enumerate() {
-        let wl = layer.op.weight_len() as usize;
-        let bl = layer.op.bias_len() as usize;
-        if wl > 0 {
-            out.push(weights_for_layer(spec.name, idx, wl));
-        }
-        if bl > 0 {
-            out.push(biases_for_layer(spec.name, idx, bl));
-        }
-    }
-    out
-}
-
 /// The replayer, bound to a client device and a recording gate.
 pub struct Replayer {
     device_gpu: Rc<RefCell<grt_gpu::Gpu>>,
     device_mem: Rc<RefCell<grt_gpu::Memory>>,
     clock: Rc<grt_sim::Clock>,
     tzasc: Rc<grt_tee::Tzasc>,
+    monitor: Rc<grt_tee::SecureMonitor>,
     gate: Rc<dyn RecordingGate>,
     profile: ReplayProfile,
     /// Digest of the provenance record replays chain their receipts to;
@@ -234,7 +213,7 @@ pub struct Replayer {
     /// Receipt of the most recent successful replay.
     last_receipt: Option<ReplayReceipt>,
     /// Reused f32 → wire staging buffer for batch input lanes.
-    upload: grt_runtime::UploadScratch,
+    upload: grt_gpu::UploadScratch,
 }
 
 impl Replayer {
@@ -251,11 +230,12 @@ impl Replayer {
             device_mem: Rc::clone(&device.mem),
             clock: Rc::clone(&device.clock),
             tzasc: Rc::clone(&device.tzasc),
+            monitor: Rc::clone(&device.monitor),
             gate,
             profile: ReplayProfile::default(),
             provenance_digest: None,
             last_receipt: None,
-            upload: grt_runtime::UploadScratch::default(),
+            upload: grt_gpu::UploadScratch::default(),
         }
     }
 
@@ -308,7 +288,7 @@ impl Replayer {
             input_digest,
             Sha256::digest(raw_output),
             counters,
-            crate::session::PROVISIONING_SECRET,
+            PROVISIONING_SECRET,
         ));
     }
 
@@ -346,7 +326,9 @@ impl Replayer {
                 ReplayError::MalformedEvent { field, value }
             }
             CompileError::CorruptDelta { .. } => ReplayError::CorruptDelta,
-            CompileError::TooManyRegisters => ReplayError::BadRecording,
+            CompileError::TooManyRegisters | CompileError::PollCap { .. } => {
+                ReplayError::BadRecording
+            }
         })
     }
 
@@ -538,7 +520,7 @@ impl Replayer {
         Ok(())
     }
 
-    /// Isolates and resets the GPU and scrubs protected memory (§3.2),
+    /// Takes and resets the GPU and scrubs protected memory (§3.2),
     /// injects the real parameters and input into the recorded slots, and
     /// installs the recording's fusion plan.
     fn stage<W: AsRef<[f32]>>(
@@ -547,11 +529,7 @@ impl Replayer {
         input: &[f32],
         weights: &[W],
     ) {
-        self.tzasc.claim(
-            crate::client::GPU_MMIO_BASE,
-            crate::client::GPU_MMIO_LEN,
-            grt_tee::World::Secure,
-        );
+        take_gpu(&self.tzasc, &self.monitor);
         let mut gpu = self.device_gpu.borrow_mut();
         gpu.hard_reset_now();
         gpu.set_fusion_plan(compiled.fusion_plan().to_vec());
@@ -659,16 +637,14 @@ impl Replayer {
         Ok(())
     }
 
-    /// Detaches any fusion plan and batch lanes, resets the GPU and
-    /// releases it to the normal world.
+    /// Detaches any fusion plan and batch lanes and gives the GPU back to
+    /// the normal world.
     fn cleanup(&mut self) {
         let mut gpu = self.device_gpu.borrow_mut();
         gpu.take_fusion_plan();
         gpu.take_batch_lanes();
-        gpu.hard_reset_now();
         drop(gpu);
-        self.tzasc
-            .release(crate::client::GPU_MMIO_BASE, crate::client::GPU_MMIO_LEN);
+        give_back_gpu(&self.device_gpu, &self.tzasc, &self.monitor);
     }
 
     /// Begins an incremental, layer-at-a-time replay of a compiled
@@ -776,317 +752,5 @@ impl std::fmt::Debug for LayeredReplay<'_> {
 impl std::fmt::Debug for Replayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replayer").finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::session::{RecordSession, RecorderMode};
-    use grt_gpu::GpuSku;
-    use grt_ir::recording::Event;
-    use grt_ml::reference::{test_input, ReferenceNet};
-    use grt_net::NetConditions;
-
-    fn close(a: &[f32], b: &[f32]) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|(x, y)| (x - y).abs() < 1e-3 * (1.0 + x.abs().max(y.abs())))
-    }
-
-    fn record_mnist(mode: RecorderMode) -> (RecordSession, crate::session::RecordOutcome) {
-        let mut s = RecordSession::new(GpuSku::mali_g71_mp8(), NetConditions::wifi(), mode);
-        let spec = grt_ml::zoo::mnist();
-        let out = s.record(&spec).unwrap();
-        (s, out)
-    }
-
-    /// Unit tests exercise replay mechanics below the gate; the real
-    /// grt-lint gate (a dev-dependency) is covered by this crate's
-    /// integration tests (`tests/lint_gate.rs`), where the dependency
-    /// cycle resolves to a single build of the crate.
-    fn permissive() -> Rc<dyn grt_ir::gate::RecordingGate> {
-        Rc::new(grt_ir::gate::PermissiveGate)
-    }
-
-    #[test]
-    fn replay_with_real_input_matches_reference() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let input = test_input(&spec, 5);
-        let weights = workload_weights(&spec);
-        let (gpu_out, delay) = replayer
-            .replay(&out.recording, &key, &input, &weights)
-            .unwrap();
-        let cpu_out = ReferenceNet::new(spec).infer(&input);
-        assert!(close(&gpu_out, &cpu_out), "{gpu_out:?} vs {cpu_out:?}");
-        assert!(delay > grt_sim::SimTime::ZERO);
-    }
-
-    #[test]
-    fn replay_is_repeatable_with_new_inputs() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let weights = workload_weights(&spec);
-        let reference = ReferenceNet::new(spec.clone());
-        for variant in [11, 12, 13] {
-            let input = test_input(&spec, variant);
-            let (gpu_out, _) = replayer
-                .replay(&out.recording, &key, &input, &weights)
-                .unwrap();
-            let cpu_out = reference.infer(&input);
-            assert!(close(&gpu_out, &cpu_out), "variant {variant}");
-        }
-    }
-
-    #[test]
-    fn tampered_recording_is_rejected() {
-        let (s, mut out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let n = out.recording.bytes.len();
-        out.recording.bytes[n / 2] ^= 1;
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let err = replayer
-            .replay(
-                &out.recording,
-                &key,
-                &test_input(&spec, 0),
-                &workload_weights(&spec),
-            )
-            .unwrap_err();
-        assert_eq!(err, ReplayError::BadRecording);
-    }
-
-    #[test]
-    fn wrong_sku_replay_is_rejected() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        // A *different* client device with an MP4 GPU.
-        let clock = grt_sim::Clock::new();
-        let stats = grt_sim::Stats::new();
-        let other = crate::session::ClientDevice::new(GpuSku::mali_g71_mp4(), &clock, &stats, b"x");
-        let mut replayer = Replayer::new(&other, permissive());
-        let err = replayer
-            .replay(
-                &out.recording,
-                &key,
-                &test_input(&spec, 0),
-                &workload_weights(&spec),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::WrongSku { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn layered_replay_matches_monolithic() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let input = test_input(&spec, 6);
-        let weights = workload_weights(&spec);
-
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let (mono_out, _) = replayer
-            .replay(&out.recording, &key, &input, &weights)
-            .unwrap();
-
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        let mut layered = replayer.begin_layered(&compiled, &input, &weights).unwrap();
-        assert_eq!(layered.layer_count(), spec.layers.len());
-        let mut seen = Vec::new();
-        while let Some(idx) = layered.replay_layer().unwrap() {
-            // The app can interleave its own work between layers
-            // (Figure 2's timeline); model it as CPU time.
-            s.clock.advance(grt_sim::SimTime::from_micros(50));
-            seen.push(idx);
-        }
-        assert_eq!(seen, (0..spec.layers.len() as u32).collect::<Vec<_>>());
-        let layered_out = layered.finish();
-        assert_eq!(layered_out, mono_out);
-    }
-
-    #[test]
-    fn layered_replay_cleans_up_on_error() {
-        let (s, mut out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        // Corrupt after signing check by re-signing a recording whose
-        // first layer's job-start write is removed: the WaitIrq hangs.
-        let mut rec = out.recording.verify_and_parse(&key).unwrap();
-        let js_command =
-            grt_gpu::regs::job_control::slot_base(0) + grt_gpu::regs::job_control::JS_COMMAND;
-        rec.events
-            .retain(|e| !matches!(e, Event::RegWrite { offset, .. } if *offset == js_command));
-        out.recording = SignedRecording::sign(&rec, &key);
-        // The lint gate would refuse this recording outright (R3: waits
-        // with no raiser); a permissive gate lets it through so the
-        // runtime IrqHang defense — the layer below — gets exercised.
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let input = test_input(&spec, 0);
-        let weights = workload_weights(&spec);
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        let mut layered = replayer.begin_layered(&compiled, &input, &weights).unwrap();
-        let err = loop {
-            match layered.replay_layer() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("expected a hang"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err, ReplayError::IrqHang);
-        assert_eq!(layered.replay_layer(), Ok(None), "a failed walk is over");
-        // The TZASC claim was released by the error path.
-        assert!(s
-            .client
-            .tzasc
-            .owner_of(crate::client::GPU_MMIO_BASE)
-            .is_none());
-    }
-
-    #[test]
-    fn compiled_replay_is_faster_per_event() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let input = test_input(&spec, 1);
-        let weights = workload_weights(&spec);
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        replayer
-            .replay(&out.recording, &key, &input, &weights)
-            .unwrap();
-        let interp = replayer.last_profile();
-        replayer
-            .replay_compiled(&compiled, &input, &weights)
-            .unwrap();
-        let fast = replayer.last_profile();
-        assert!(
-            fast.events_per_sec() >= 1.5 * interp.events_per_sec(),
-            "compiled {:.0} ev/s vs interpreted {:.0} ev/s",
-            fast.events_per_sec(),
-            interp.events_per_sec()
-        );
-        assert!(fast.total <= interp.total);
-    }
-
-    #[test]
-    fn compile_rejects_tampered_and_wrong_sku() {
-        let (s, mut out) = record_mnist(RecorderMode::OursMDS);
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        // Wrong SKU.
-        let clock = grt_sim::Clock::new();
-        let stats = grt_sim::Stats::new();
-        let other = crate::session::ClientDevice::new(GpuSku::mali_g71_mp4(), &clock, &stats, b"x");
-        let mut other_replayer = Replayer::new(&other, permissive());
-        assert!(matches!(
-            other_replayer.compile_signed(&out.recording, &key),
-            Err(ReplayError::WrongSku { .. })
-        ));
-        // Tampered bytes.
-        let n = out.recording.bytes.len();
-        out.recording.bytes[n / 2] ^= 1;
-        assert_eq!(
-            replayer.compile_signed(&out.recording, &key).unwrap_err(),
-            ReplayError::BadRecording
-        );
-    }
-
-    #[test]
-    fn compiled_replay_rechecks_sku() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        let clock = grt_sim::Clock::new();
-        let stats = grt_sim::Stats::new();
-        let other = crate::session::ClientDevice::new(GpuSku::mali_g71_mp4(), &clock, &stats, b"x");
-        let mut other_replayer = Replayer::new(&other, permissive());
-        assert!(matches!(
-            other_replayer.replay_compiled(
-                &compiled,
-                &test_input(&spec, 0),
-                &workload_weights(&spec)
-            ),
-            Err(ReplayError::WrongSku { .. })
-        ));
-    }
-
-    #[test]
-    fn compiled_replay_rejects_wrong_shape_input() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        let err = replayer
-            .replay_compiled(&compiled, &[0.0; 3], &workload_weights(&spec))
-            .unwrap_err();
-        assert_eq!(err, ReplayError::BadInput);
-    }
-
-    #[test]
-    fn replay_emits_signed_deterministic_receipt() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let input = test_input(&spec, 9);
-        let weights = workload_weights(&spec);
-        assert!(replayer.last_receipt().is_none());
-        replayer
-            .replay(&out.recording, &key, &input, &weights)
-            .unwrap();
-        let interp = replayer.last_receipt().unwrap().clone();
-        assert_eq!(interp.workload, "MNIST");
-        assert!(interp.verify(crate::session::PROVISIONING_SECRET));
-        assert_eq!(
-            interp.recording_digest,
-            Sha256::digest(&out.recording.bytes)
-        );
-        // Unchained until a provenance record is attached.
-        assert_eq!(interp.provenance_digest, [0u8; 32]);
-
-        // The compiled path binds to the same recording digest, and with
-        // a chained provenance digest the receipt carries it.
-        let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
-        replayer.attach_provenance([7u8; 32]);
-        replayer
-            .replay_compiled(&compiled, &input, &weights)
-            .unwrap();
-        let fast = replayer.last_receipt().unwrap().clone();
-        assert_eq!(fast.recording_digest, interp.recording_digest);
-        assert_eq!(fast.input_digest, interp.input_digest);
-        assert_eq!(fast.output_digest, interp.output_digest);
-        assert_eq!(fast.provenance_digest, [7u8; 32]);
-        assert!(fast.verify(crate::session::PROVISIONING_SECRET));
-
-        // Same replay again → byte-identical receipt.
-        replayer
-            .replay_compiled(&compiled, &input, &weights)
-            .unwrap();
-        let again = replayer.last_receipt().unwrap().clone();
-        assert_eq!(again.to_bytes(), fast.to_bytes());
-    }
-
-    #[test]
-    fn wrong_shape_input_rejected() {
-        let (s, out) = record_mnist(RecorderMode::OursMDS);
-        let spec = grt_ml::zoo::mnist();
-        let key = s.recording_key();
-        let mut replayer = Replayer::new(&s.client, permissive());
-        let err = replayer
-            .replay(&out.recording, &key, &[0.0; 3], &workload_weights(&spec))
-            .unwrap_err();
-        assert_eq!(err, ReplayError::BadInput);
     }
 }

@@ -7,9 +7,9 @@
 //! runs the replay, and reads back the output — four commands over
 //! byte-buffer params, like a real GP TA.
 
-use crate::compiled::CompiledRecording;
-use crate::replay::Replayer;
-use crate::session::ClientDevice;
+use crate::client::{ClientDevice, PROVISIONING_SECRET};
+use crate::compiled::{CompiledRecording, MAX_BATCH};
+use crate::replay::{ReplayError, Replayer};
 use grt_crypto::{KeyPair, Signature};
 use grt_ir::gate::RecordingGate;
 use grt_ir::recording::SignedRecording;
@@ -127,8 +127,9 @@ impl TeeModule for ReplayService {
                     self.replayer
                         .compile_signed(&signed, &self.key)
                         .map_err(|e| match e {
-                            crate::replay::ReplayError::BadRecording
-                            | crate::replay::ReplayError::Rejected { .. } => GpStatus::AccessDenied,
+                            ReplayError::BadRecording | ReplayError::Rejected { .. } => {
+                                GpStatus::AccessDenied
+                            }
                             _ => GpStatus::Generic,
                         })?;
                 self.weights = vec![None; compiled.weights.len()];
@@ -169,7 +170,7 @@ impl TeeModule for ReplayService {
                     .map_err(|e| match e {
                         // A lint rejection is a policy refusal, not a
                         // hardware fault.
-                        crate::replay::ReplayError::Rejected { .. } => GpStatus::AccessDenied,
+                        ReplayError::Rejected { .. } => GpStatus::AccessDenied,
                         _ => GpStatus::Generic,
                     })?;
                 self.runs += 1;
@@ -185,10 +186,7 @@ impl TeeModule for ReplayService {
                 let elems = compiled.input.len_elems as usize;
                 // The payload must carry exactly B images of the recorded
                 // input shape; the replayer re-checks the same bound.
-                if batch == 0
-                    || batch > crate::compiled::MAX_BATCH
-                    || input.len() - 4 != batch * elems * 4
-                {
+                if batch == 0 || batch > MAX_BATCH || input.len() - 4 != batch * elems * 4 {
                     return Err(GpStatus::BadParameters);
                 }
                 let all = Self::parse_f32s(&input[4..])?;
@@ -197,7 +195,7 @@ impl TeeModule for ReplayService {
                     .replayer
                     .replay_compiled_batch(&compiled, &inputs, &weights)
                     .map_err(|e| match e {
-                        crate::replay::ReplayError::Rejected { .. } => GpStatus::AccessDenied,
+                        ReplayError::Rejected { .. } => GpStatus::AccessDenied,
                         _ => GpStatus::Generic,
                     })?;
                 self.runs += 1;
@@ -212,7 +210,7 @@ impl TeeModule for ReplayService {
                     .map_err(|_| GpStatus::BadParameters)?;
                 // The record must be authentic and must cover *this*
                 // recording on *this* SKU; anything else is a refusal.
-                if !prov.verify(crate::session::PROVISIONING_SECRET)
+                if !prov.verify(PROVISIONING_SECRET)
                     || prov.recording_digest != compiled.recording_digest()
                     || prov.gpu_id != compiled.gpu_id
                 {
@@ -238,222 +236,5 @@ impl std::fmt::Debug for ReplayService {
         f.debug_struct("ReplayService")
             .field("loaded", &self.compiled.is_some())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::replay::workload_weights;
-    use crate::session::{RecordSession, RecorderMode};
-    use grt_gpu::GpuSku;
-    use grt_ml::reference::{test_input, ReferenceNet};
-    use grt_net::NetConditions;
-    use grt_tee::TeeHost;
-    use std::cell::RefCell;
-
-    fn recorded() -> (RecordSession, crate::session::RecordOutcome) {
-        let mut s = RecordSession::new(
-            GpuSku::mali_g71_mp8(),
-            NetConditions::wifi(),
-            RecorderMode::OursMDS,
-        );
-        let out = s.record(&grt_ml::zoo::mnist()).expect("record");
-        (s, out)
-    }
-
-    fn gp_run(
-        host: &TeeHost,
-        session: u32,
-        out: &crate::session::RecordOutcome,
-        input: &[f32],
-        weights: &[Vec<f32>],
-    ) -> Result<Vec<f32>, GpStatus> {
-        let mut blob = out.recording.bytes.clone();
-        blob.extend_from_slice(out.recording.signature.as_bytes());
-        let n = host.invoke(session, cmd::LOAD_RECORDING, &blob)?;
-        assert_eq!(
-            u32::from_le_bytes([n[0], n[1], n[2], n[3]]) as usize,
-            weights.len()
-        );
-        let input_bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-        host.invoke(session, cmd::SET_INPUT, &input_bytes)?;
-        for (i, w) in weights.iter().enumerate() {
-            let mut p = (i as u32).to_le_bytes().to_vec();
-            p.extend(w.iter().flat_map(|v| v.to_le_bytes()));
-            host.invoke(session, cmd::SET_WEIGHTS, &p)?;
-        }
-        let raw = host.invoke(session, cmd::RUN, &[])?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    #[test]
-    fn gp_protocol_runs_inference_in_tee() {
-        let (s, out) = recorded();
-        let spec = grt_ml::zoo::mnist();
-        let host = TeeHost::new(&s.client.monitor);
-        host.register(Box::new(RefCell::new(ReplayService::new(
-            &s.client,
-            s.recording_key(),
-            Rc::new(grt_ir::gate::PermissiveGate),
-        ))));
-        let session = host.open_session("grt.replay").unwrap();
-        let input = test_input(&spec, 8);
-        let weights = workload_weights(&spec);
-        let gpu_out = gp_run(&host, session, &out, &input, &weights).unwrap();
-        let cpu_out = ReferenceNet::new(spec).infer(&input);
-        for (a, b) in gpu_out.iter().zip(&cpu_out) {
-            assert!((a - b).abs() < 1e-3);
-        }
-        host.close_session(session).unwrap();
-    }
-
-    #[test]
-    fn tampered_recording_refused_at_load() {
-        let (s, mut out) = recorded();
-        let host = TeeHost::new(&s.client.monitor);
-        host.register(Box::new(RefCell::new(ReplayService::new(
-            &s.client,
-            s.recording_key(),
-            Rc::new(grt_ir::gate::PermissiveGate),
-        ))));
-        let session = host.open_session("grt.replay").unwrap();
-        out.recording.bytes[10] ^= 1;
-        let mut blob = out.recording.bytes.clone();
-        blob.extend_from_slice(out.recording.signature.as_bytes());
-        assert_eq!(
-            host.invoke(session, cmd::LOAD_RECORDING, &blob),
-            Err(GpStatus::AccessDenied)
-        );
-    }
-
-    #[test]
-    fn run_requires_complete_staging() {
-        let (s, out) = recorded();
-        let spec = grt_ml::zoo::mnist();
-        let host = TeeHost::new(&s.client.monitor);
-        host.register(Box::new(RefCell::new(ReplayService::new(
-            &s.client,
-            s.recording_key(),
-            Rc::new(grt_ir::gate::PermissiveGate),
-        ))));
-        let session = host.open_session("grt.replay").unwrap();
-        // Run with nothing loaded.
-        assert_eq!(
-            host.invoke(session, cmd::RUN, &[]),
-            Err(GpStatus::BadParameters)
-        );
-        // Load, set input, but leave weights unstaged.
-        let mut blob = out.recording.bytes.clone();
-        blob.extend_from_slice(out.recording.signature.as_bytes());
-        host.invoke(session, cmd::LOAD_RECORDING, &blob).unwrap();
-        let input_bytes: Vec<u8> = test_input(&spec, 0)
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        host.invoke(session, cmd::SET_INPUT, &input_bytes).unwrap();
-        assert_eq!(
-            host.invoke(session, cmd::RUN, &[]),
-            Err(GpStatus::BadParameters)
-        );
-    }
-
-    #[test]
-    fn provenance_and_receipt_commands_round_trip() {
-        let (s, out) = recorded();
-        let spec = grt_ml::zoo::mnist();
-        let host = TeeHost::new(&s.client.monitor);
-        host.register(Box::new(RefCell::new(ReplayService::new(
-            &s.client,
-            s.recording_key(),
-            Rc::new(grt_ir::gate::PermissiveGate),
-        ))));
-        let session = host.open_session("grt.replay").unwrap();
-        // No recording loaded yet: both commands refuse.
-        assert_eq!(
-            host.invoke(session, cmd::SET_PROVENANCE, &[]),
-            Err(GpStatus::BadParameters)
-        );
-        assert_eq!(
-            host.invoke(session, cmd::RECEIPT, &[]),
-            Err(GpStatus::BadParameters)
-        );
-
-        let mut blob = out.recording.bytes.clone();
-        blob.extend_from_slice(out.recording.signature.as_bytes());
-        host.invoke(session, cmd::LOAD_RECORDING, &blob).unwrap();
-
-        let secret = crate::session::PROVISIONING_SECRET;
-        let gpu_id = s.client.gpu.borrow().sku().gpu_id;
-        let recording_digest = grt_crypto::Sha256::digest(&out.recording.bytes);
-        let lint_digest = grt_crypto::Sha256::digest(b"{}");
-        // A provenance record for a *different* recording is refused.
-        let wrong = grt_attest::ProvenanceRecord::build(
-            "registry",
-            "MNIST",
-            gpu_id,
-            grt_crypto::Sha256::digest(b"other recording"),
-            lint_digest,
-            secret,
-        );
-        assert_eq!(
-            host.invoke(session, cmd::SET_PROVENANCE, &wrong.to_bytes()),
-            Err(GpStatus::AccessDenied)
-        );
-        // The matching record is accepted and receipts chain to it.
-        let prov = grt_attest::ProvenanceRecord::build(
-            "registry",
-            "MNIST",
-            gpu_id,
-            recording_digest,
-            lint_digest,
-            secret,
-        );
-        host.invoke(session, cmd::SET_PROVENANCE, &prov.to_bytes())
-            .unwrap();
-
-        let input = test_input(&spec, 8);
-        let weights = workload_weights(&spec);
-        gp_run(&host, session, &out, &input, &weights).unwrap();
-        // gp_run re-issues LOAD_RECORDING, which detaches provenance —
-        // re-attach, run again, and fetch the chained receipt.
-        host.invoke(session, cmd::SET_PROVENANCE, &prov.to_bytes())
-            .unwrap();
-        host.invoke(session, cmd::RUN, &[]).unwrap();
-        let raw = host.invoke(session, cmd::RECEIPT, &[]).unwrap();
-        let receipt = grt_attest::ReplayReceipt::from_bytes(&raw).unwrap();
-        assert_eq!(receipt.provenance_digest, prov.digest());
-        grt_attest::verify_chain(&receipt, &prov, "{}", secret).unwrap();
-    }
-
-    #[test]
-    fn bad_parameters_rejected() {
-        let (s, out) = recorded();
-        let host = TeeHost::new(&s.client.monitor);
-        host.register(Box::new(RefCell::new(ReplayService::new(
-            &s.client,
-            s.recording_key(),
-            Rc::new(grt_ir::gate::PermissiveGate),
-        ))));
-        let session = host.open_session("grt.replay").unwrap();
-        // Too-short load blob.
-        assert_eq!(
-            host.invoke(session, cmd::LOAD_RECORDING, &[0u8; 10]),
-            Err(GpStatus::BadParameters)
-        );
-        // Unknown command.
-        assert_eq!(host.invoke(session, 99, &[]), Err(GpStatus::BadParameters));
-        // Out-of-range weight slot.
-        let mut blob = out.recording.bytes.clone();
-        blob.extend_from_slice(out.recording.signature.as_bytes());
-        host.invoke(session, cmd::LOAD_RECORDING, &blob).unwrap();
-        let p = 9999u32.to_le_bytes().to_vec();
-        assert_eq!(
-            host.invoke(session, cmd::SET_WEIGHTS, &p),
-            Err(GpStatus::BadParameters)
-        );
     }
 }

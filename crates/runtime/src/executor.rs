@@ -9,7 +9,7 @@
 
 use crate::network::CompiledNetwork;
 use grt_driver::{DriverError, JobIrqOutcome, KbaseDriver, RegPort};
-use grt_gpu::{Gpu, GpuSku, IrqLine, Memory};
+use grt_gpu::{Gpu, GpuSku, IrqLine, Memory, UploadScratch};
 use grt_sim::{Clock, SimTime, Stats};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,29 +31,6 @@ pub trait ExecHooks {
 
     /// Called after a layer's last job completes.
     fn post_layer(&mut self, _layer_idx: usize) {}
-}
-
-/// Reusable byte-staging buffer for the f32 → wire conversion on input
-/// upload. One inference allocates it; every subsequent inference on the
-/// same stack reuses the capacity — the executor-side analogue of the
-/// GPU's kernel scratch buffers on the fleet-serving hot path.
-#[derive(Debug, Clone, Default)]
-pub struct UploadScratch {
-    bytes: Vec<u8>,
-}
-
-impl UploadScratch {
-    /// Stages one f32 slice as its little-endian wire bytes, reusing the
-    /// buffer's capacity across calls (the batched-replay input lanes
-    /// and the executor's input upload share this conversion).
-    pub fn stage(&mut self, input: &[f32]) -> &[u8] {
-        self.bytes.clear();
-        self.bytes.reserve(input.len() * 4);
-        for v in input {
-            self.bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        &self.bytes
-    }
 }
 
 /// Runs one inference through the driver.

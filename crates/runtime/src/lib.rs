@@ -18,7 +18,7 @@ pub mod jit;
 pub mod network;
 
 pub use executor::{
-    run_inference, run_inference_with_scratch, ExecHooks, NativeHooks, NativeStack, UploadScratch,
+    run_inference, run_inference_with_scratch, ExecHooks, NativeHooks, NativeStack,
 };
 pub use jit::{Jit, JitJob, JobKind};
 pub use network::{

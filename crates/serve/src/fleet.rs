@@ -74,13 +74,11 @@ use crate::metrics::{
 };
 use crate::registry::{FetchOutcome, RecordingRegistry, RegistryConfig};
 use grt_attest::{verify_chain, verify_receipt_data, ProvenanceRecord, ReplayReceipt};
-use grt_core::replay::workload_weights;
-use grt_core::service::cmd;
-use grt_core::session::{recording_trust_root, ClientDevice, PROVISIONING_SECRET};
-use grt_core::ReplayService;
 use grt_gpu::GpuSku;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_ml::NetworkSpec;
+use grt_replay::client::{recording_trust_root, ClientDevice, PROVISIONING_SECRET};
+use grt_replay::service::{cmd, ReplayService};
 use grt_sim::{Clock, Crash, FaultPlan, SimTime, Stats};
 use grt_tee::TeeHost;
 use std::cell::RefCell;
@@ -187,12 +185,12 @@ impl FleetConfig {
     }
 
     /// Caps how many same-model requests one replay may batch
-    /// (`1..=grt_core::compiled::MAX_BATCH`).
+    /// (`1..=grt_replay::compiled::MAX_BATCH`).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         assert!(
-            (1..=grt_core::compiled::MAX_BATCH).contains(&max_batch),
+            (1..=grt_replay::compiled::MAX_BATCH).contains(&max_batch),
             "max_batch must be in 1..={}",
-            grt_core::compiled::MAX_BATCH
+            grt_replay::compiled::MAX_BATCH
         );
         self.max_batch = max_batch;
         self

@@ -18,7 +18,7 @@
 //!   queues with deadlines; a full fleet rejects new work with a
 //!   retry-after hint instead of queueing unboundedly;
 //! - [`fleet`] — the **fleet scheduler**: N client TEE devices, each
-//!   hosting a [`grt_core::ReplayService`] behind the GP protocol,
+//!   hosting a [`grt_replay::service::ReplayService`] behind the GP protocol,
 //!   honouring the paper's job-queue-length-1 invariant per device, with
 //!   same-model affinity so `LOAD_RECORDING`/`SET_WEIGHTS` are amortized
 //!   across consecutive requests and only `SET_INPUT`+`RUN` pay per

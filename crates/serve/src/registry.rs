@@ -22,16 +22,15 @@
 //! by key).
 
 use grt_attest::{AttestationExport, ExportEntry, ProvenanceRecord, VerifyError};
-use grt_core::session::{
-    recording_trust_root, RecordError, RecordSession, RecorderMode, PROVISIONING_SECRET,
-};
-use grt_core::CompiledRecording;
+use grt_core::session::{RecordError, RecordSession, RecorderMode};
 use grt_crypto::Sha256;
 use grt_gpu::GpuSku;
 use grt_ir::recording::SignedRecording;
 use grt_lint::{LintReport, Linter};
 use grt_ml::NetworkSpec;
 use grt_net::NetConditions;
+use grt_replay::client::{recording_trust_root, PROVISIONING_SECRET};
+use grt_replay::compiled::CompiledRecording;
 use grt_sim::{FaultPlan, SimTime};
 use std::rc::Rc;
 
@@ -574,7 +573,7 @@ fn vet(
     // recording event-for-event, so the R1-R9 verdict carries over to
     // every replay of it.
     let recording_digest = Sha256::digest(&recording.bytes);
-    let compiled = grt_core::compiled::lower(ir, recording_digest, true).map_err(|e| {
+    let compiled = grt_replay::compiled::lower(ir, recording_digest, true).map_err(|e| {
         RecordError::Rejected {
             rule: "compile".to_owned(),
             message: e.to_string(),

@@ -9,11 +9,11 @@
 //!
 //! Run: `cargo run --release --example misprediction_recovery`
 
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
-use grt_ml::reference::{test_input, ReferenceNet};
+use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 
 fn main() {
     let spec = grt_ml::zoo::mnist();

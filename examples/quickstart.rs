@@ -4,11 +4,11 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
-use grt_ml::reference::{test_input, ReferenceNet};
+use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 
 fn main() {
     // 1. The developer ships a hardware-neutral network spec (late

@@ -9,9 +9,10 @@
 //! Run: `cargo run --release --example remote_debug`
 
 use grt_core::debug::{audit_replay, diff_recordings, Divergence};
-use grt_core::session::{ClientDevice, RecordSession, RecorderMode};
+use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
 use grt_net::NetConditions;
+use grt_replay::client::ClientDevice;
 use grt_sim::{Clock, Stats};
 
 fn record(sku: GpuSku) -> grt_ir::recording::Recording {

@@ -12,13 +12,13 @@
 //!
 //! Run: `cargo run --release --example secure_inference`
 
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_crypto::KeyPair;
 use grt_gpu::GpuSku;
 use grt_ir::recording::SignedRecording;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 use grt_runtime::NativeStack;
 use grt_tee::{AccessDecision, World};
 
@@ -69,19 +69,19 @@ fn main() {
     // Adversary check 2: a normal-world access to GPU MMIO while the TEE
     // holds it must be denied. (Claim it as the replayer would.)
     session.client.tzasc.claim(
-        grt_core::client::GPU_MMIO_BASE,
-        grt_core::client::GPU_MMIO_LEN,
+        grt_replay::client::GPU_MMIO_BASE,
+        grt_replay::client::GPU_MMIO_LEN,
         World::Secure,
     );
     let probe = session
         .client
         .tzasc
-        .check(World::Normal, grt_core::client::GPU_MMIO_BASE + 0x30);
+        .check(World::Normal, grt_replay::client::GPU_MMIO_BASE + 0x30);
     println!("normal-world MMIO probe while TEE holds GPU: {probe:?}");
     assert!(matches!(probe, AccessDecision::Denied { .. }));
     session.client.tzasc.release(
-        grt_core::client::GPU_MMIO_BASE,
-        grt_core::client::GPU_MMIO_LEN,
+        grt_replay::client::GPU_MMIO_BASE,
+        grt_replay::client::GPU_MMIO_LEN,
     );
 
     // Adversary check 3: a recording tampered in flight is rejected.

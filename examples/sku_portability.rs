@@ -8,11 +8,12 @@
 //!
 //! Run: `cargo run --release --example sku_portability`
 
-use grt_core::replay::{workload_weights, ReplayError, Replayer};
-use grt_core::session::{ClientDevice, RecordSession, RecorderMode};
+use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_net::NetConditions;
+use grt_replay::client::ClientDevice;
+use grt_replay::replay::{ReplayError, Replayer};
 use grt_sim::{Clock, Stats};
 
 fn main() {

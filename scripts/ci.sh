@@ -23,11 +23,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> dependency direction: grt-ir and grt-lint stay below grt-core"
 for PKG in grt-ir grt-lint; do
     if cargo tree --offline -e normal -p "$PKG" --prefix none |
-        grep -E '^grt-(core|driver|runtime|net|tee|attest|serve) '; then
+        grep -E '^grt-(core|replay|driver|runtime|net|tee|attest|serve) '; then
         echo "ci: $PKG depends on a crate above the lifter (listed above)" >&2
         exit 1
     fi
 done
+
+# The client TEE holds no GPU stack (§6): grt-replay may not reach, even
+# transitively, the recorder, the driver, the runtime, the network model,
+# the model zoo, the analyzer (it plugs in as a RecordingGate) or the
+# serving tier.
+echo "==> dependency direction: grt-replay holds no GPU stack"
+if cargo tree --offline -e normal -p grt-replay --prefix none |
+    grep -E '^grt-(core|driver|runtime|net|ml|lint|serve) '; then
+    echo "ci: grt-replay depends on a crate outside the client TEE (listed above)" >&2
+    exit 1
+fi
+
+# TCB gate: the production lines of grt-replay's cone may not grow past
+# scripts/tcb_lines, per crate or in total.
+echo "==> TCB report: grt-replay's cone against scripts/tcb_lines"
+sh scripts/tcb_report.sh
 
 echo "==> tier-1 verify: cargo build --release"
 cargo build --release

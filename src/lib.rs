@@ -11,6 +11,7 @@ pub use grt_driver as driver;
 pub use grt_gpu as gpu;
 pub use grt_ml as ml;
 pub use grt_net as net;
+pub use grt_replay as replay;
 pub use grt_runtime as runtime;
 pub use grt_sim as sim;
 pub use grt_tee as tee;

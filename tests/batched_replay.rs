@@ -11,10 +11,11 @@
 //!   replay left in protected memory may leak into a later batch, and a
 //!   wipe after any replay must leave the carveout all zero.
 
-use grt_core::replay::{workload_weights, Replayer};
-use grt_core::session::{ClientDevice, RecordSession, RecorderMode};
+use grt_core::session::{RecordSession, RecorderMode};
 use grt_ir::gate::CLIENT_MEM_BYTES;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
+use grt_replay::client::ClientDevice;
+use grt_replay::replay::Replayer;
 use std::rc::Rc;
 
 fn rig(spec: &grt_ml::NetworkSpec) -> (RecordSession, grt_core::session::RecordOutcome) {
@@ -33,7 +34,7 @@ fn fresh_device() -> ClientDevice {
         grt_gpu::GpuSku::mali_g71_mp8(),
         &grt_sim::Clock::new(),
         &grt_sim::Stats::new(),
-        grt_core::session::PROVISIONING_SECRET,
+        grt_replay::client::PROVISIONING_SECRET,
     )
 }
 
@@ -137,7 +138,7 @@ fn batched_replay_matches_sequential_warm_replays() {
         // One receipt covers the batch: input digest commits to the lane
         // vector, output digest to the lane outputs in order.
         let receipt = replayer.last_receipt().unwrap().clone();
-        assert!(receipt.verify(grt_core::session::PROVISIONING_SECRET));
+        assert!(receipt.verify(grt_replay::client::PROVISIONING_SECRET));
         let input_lanes: Vec<Vec<u8>> = inputs.iter().map(|v| f32_bytes(v)).collect();
         let concat: Vec<u8> = batched.iter().flat_map(|v| f32_bytes(v)).collect();
         grt_attest::verify_batch_receipt_data(&receipt, &input_lanes, &concat)
@@ -159,20 +160,20 @@ fn bad_batch_geometry_is_rejected() {
     let empty: Vec<Vec<f32>> = Vec::new();
     assert!(matches!(
         replayer.replay_compiled_batch(&compiled, &empty, &weights),
-        Err(grt_core::replay::ReplayError::BadInput)
+        Err(grt_replay::replay::ReplayError::BadInput)
     ));
 
-    let too_many: Vec<Vec<f32>> = vec![test_input(&spec, 1); grt_core::compiled::MAX_BATCH + 1];
+    let too_many: Vec<Vec<f32>> = vec![test_input(&spec, 1); grt_replay::compiled::MAX_BATCH + 1];
     assert!(matches!(
         replayer.replay_compiled_batch(&compiled, &too_many, &weights),
-        Err(grt_core::replay::ReplayError::BadInput)
+        Err(grt_replay::replay::ReplayError::BadInput)
     ));
 
     let mut lanes = vec![test_input(&spec, 1), test_input(&spec, 2)];
     lanes[1].pop();
     assert!(matches!(
         replayer.replay_compiled_batch(&compiled, &lanes, &weights),
-        Err(grt_core::replay::ReplayError::BadInput)
+        Err(grt_replay::replay::ReplayError::BadInput)
     ));
 }
 
@@ -279,7 +280,7 @@ fn max_batch_last_lane_matches_scalar_replay() {
     let compiled = replayer
         .compile_signed(&out.recording, &s.recording_key())
         .unwrap();
-    let b = grt_core::compiled::MAX_BATCH;
+    let b = grt_replay::compiled::MAX_BATCH;
     let inputs: Vec<Vec<f32>> = (0..b)
         .map(|j| test_input(&spec, 0x64_0000 ^ j as u64))
         .collect();

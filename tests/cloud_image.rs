@@ -1,11 +1,11 @@
 //! §6 cloud VM image: one image, many drivers, selected per client.
 
 use grt_core::cloud::CloudVmImage;
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
-use grt_ml::reference::{test_input, ReferenceNet};
+use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 
 /// The standard image serves clients of every cataloged SKU end to end —
 /// including the G72/G76 whose PTE quirks differ from the G71's.
@@ -74,7 +74,7 @@ fn image_recordings_remain_sku_bound() {
     // Replaying the G72 recording on a G76 client fails the SKU gate.
     let clock = grt_sim::Clock::new();
     let stats = grt_sim::Stats::new();
-    let g76 = grt_core::session::ClientDevice::new(GpuSku::mali_g76_mp10(), &clock, &stats, b"x");
+    let g76 = grt_replay::client::ClientDevice::new(GpuSku::mali_g76_mp10(), &clock, &stats, b"x");
     let mut replayer = Replayer::new(&g76, std::rc::Rc::new(grt_lint::Linter::new()));
     let err = replayer
         .replay(
@@ -86,7 +86,7 @@ fn image_recordings_remain_sku_bound() {
         .unwrap_err();
     assert!(matches!(
         err,
-        grt_core::replay::ReplayError::WrongSku { .. }
+        grt_replay::replay::ReplayError::WrongSku { .. }
     ));
 }
 

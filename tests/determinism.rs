@@ -28,8 +28,8 @@ fn independent_sessions_produce_identical_recordings() {
 /// granularity) drive identical replayed computations.
 #[test]
 fn all_modes_produce_equivalent_recordings() {
-    use grt_core::replay::{workload_weights, Replayer};
-    use grt_ml::reference::{test_input, ReferenceNet};
+    use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
+    use grt_replay::replay::Replayer;
     let spec = grt_ml::zoo::mnist();
     let input = test_input(&spec, 21);
     let weights = workload_weights(&spec);
@@ -52,8 +52,8 @@ fn all_modes_produce_equivalent_recordings() {
 /// outputs and identical virtual delays.
 #[test]
 fn replay_is_deterministic() {
-    use grt_core::replay::{workload_weights, Replayer};
-    use grt_ml::reference::test_input;
+    use grt_ml::reference::{test_input, workload_weights};
+    use grt_replay::replay::Replayer;
     let spec = grt_ml::zoo::mnist();
     let mut s = RecordSession::new(
         GpuSku::mali_g71_mp8(),

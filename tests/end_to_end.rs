@@ -4,12 +4,12 @@
 //! recording download, and in-TEE replay with real data — asserting the
 //! replayed GPU computation equals the CPU reference.
 
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
-use grt_ml::reference::{test_input, ReferenceNet};
+use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
 use grt_ml::NetworkSpec;
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 
 fn close(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len()

@@ -8,8 +8,10 @@ use grt_gpu::mem::Accessor;
 use grt_gpu::mmu::{map_page, Tlb, Walker};
 use grt_gpu::regs::{gpu_control as gc, job_control as jc, mmu_control as mc};
 use grt_gpu::shader::{execute_program, reference, ExecScratch};
-use grt_gpu::{ConvParams, Gpu, GpuSku, JobDescriptor, JobStatus, Memory, PoolKind, ShaderOp};
-use grt_gpu::{IrqLine, PAGE_SIZE};
+use grt_gpu::{
+    ConvParams, Gpu, GpuSku, IrqLine, JobDescriptor, JobStatus, Memory, PoolKind, ShaderOp,
+    PAGE_SIZE,
+};
 use grt_sim::{Clock, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -622,9 +624,9 @@ fn random_spec(seed: u64) -> grt_ml::NetworkSpec {
 /// that grt-lint proves R1–R9 over is the one the executor runs.
 #[test]
 fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
-    use grt_core::replay::{workload_weights, Replayer};
     use grt_core::session::{RecordSession, RecorderMode};
-    use grt_ml::reference::test_input;
+    use grt_ml::reference::{test_input, workload_weights};
+    use grt_replay::replay::Replayer;
 
     let mut specs = grt_ml::zoo::all_benchmarks();
     for i in 0..6u64 {
@@ -644,7 +646,7 @@ fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
         let ir = grt_ir::lift_recording(&rec, quirk);
         let digest = grt_crypto::Sha256::digest(&out.recording.bytes);
         let compiled =
-            grt_core::compiled::lower(ir, digest, true).expect("well-formed recording lowers");
+            grt_replay::compiled::lower(ir, digest, true).expect("well-formed recording lowers");
         let weights = workload_weights(spec);
         let mut replayer = Replayer::new(&s.client, Rc::new(grt_lint::Linter::new()));
         for round in 0..3u64 {
@@ -669,9 +671,9 @@ fn ir_lowered_compiled_replay_bit_identical_to_interpreted() {
 /// the interpreter has events, and decompresses no delta.
 #[test]
 fn compiled_replay_matches_interpreted_bit_for_bit() {
-    use grt_core::replay::{workload_weights, Replayer};
     use grt_core::session::{RecordSession, RecorderMode};
-    use grt_ml::reference::test_input;
+    use grt_ml::reference::{test_input, workload_weights};
+    use grt_replay::replay::Replayer;
 
     let spec = grt_ml::zoo::mnist();
     let mut s = RecordSession::new(

@@ -1,11 +1,11 @@
 //! Fault-injection integration tests: mispredictions, hardware faults,
 //! and client hangs must be detected and surfaced, never silently absorbed.
 
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::GpuSku;
-use grt_ml::reference::{test_input, ReferenceNet};
+use grt_ml::reference::{test_input, workload_weights, ReferenceNet};
 use grt_net::NetConditions;
+use grt_replay::replay::Replayer;
 
 fn session() -> RecordSession {
     RecordSession::new(
@@ -112,7 +112,7 @@ fn replay_detects_interrupt_hang() {
     let err = r
         .replay(&hung, &key, &test_input(&spec, 0), &workload_weights(&spec))
         .unwrap_err();
-    assert_eq!(err, grt_core::replay::ReplayError::IrqHang);
+    assert_eq!(err, grt_replay::replay::ReplayError::IrqHang);
 }
 
 /// Malformed content inside an otherwise well-signed recording — an
@@ -122,9 +122,9 @@ fn replay_detects_interrupt_hang() {
 /// clock does not move and the TZASC never holds the GPU.
 #[test]
 fn replay_detects_corrupt_delta() {
-    use grt_core::client::GPU_MMIO_BASE;
-    use grt_core::replay::ReplayError;
     use grt_ir::recording::{Event, Recording, SignedRecording};
+    use grt_replay::client::GPU_MMIO_BASE;
+    use grt_replay::replay::ReplayError;
     let spec = grt_ml::zoo::mnist();
     let mut s = session();
     let out = s.record(&spec).expect("record");
@@ -388,7 +388,8 @@ fn replayer_survives_arbitrary_signed_recordings() {
     use grt_sim::Rng;
     let clock = grt_sim::Clock::new();
     let stats = grt_sim::Stats::new();
-    let device = grt_core::session::ClientDevice::new(GpuSku::mali_g71_mp8(), &clock, &stats, b"x");
+    let device =
+        grt_replay::client::ClientDevice::new(GpuSku::mali_g71_mp8(), &clock, &stats, b"x");
     let key = KeyPair::derive(b"fuzz", "recording");
     let mut rng = Rng::new(0xF422);
     for case in 0..40u64 {

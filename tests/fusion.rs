@@ -14,11 +14,11 @@
 //!   time model must show the warm replay getting faster, not just the op
 //!   count shrinking.
 
-use grt_core::compiled::{lower, CompiledRecording};
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordOutcome, RecordSession, RecorderMode};
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_ml::NetworkSpec;
+use grt_replay::compiled::{lower, CompiledRecording};
+use grt_replay::replay::Replayer;
 use std::rc::Rc;
 
 mod support;

@@ -5,12 +5,11 @@
 //! come back as a `GpStatus` error — never a panic, never silently
 //! corrupted TEE state.
 
-use grt_core::service::cmd;
 use grt_core::session::{RecordOutcome, RecordSession, RecorderMode};
-use grt_core::ReplayService;
 use grt_gpu::GpuSku;
 use grt_ml::reference::test_input;
 use grt_net::NetConditions;
+use grt_replay::service::{cmd, ReplayService};
 use grt_tee::{GpStatus, TeeHost};
 use std::cell::RefCell;
 
@@ -171,7 +170,7 @@ fn failed_invocations_do_not_poison_the_session() {
     let _ = host.invoke(session, cmd::SET_INPUT, &[1, 2, 3]);
     let _ = host.invoke(session, cmd::RUN, &[]);
     // ...then the legitimate protocol still works end to end.
-    use grt_core::replay::workload_weights;
+    use grt_ml::reference::workload_weights;
     let spec = grt_ml::zoo::mnist();
     let n = host
         .invoke(session, cmd::LOAD_RECORDING, &load_blob(&out))
@@ -205,7 +204,7 @@ fn batch_payload(batch: u32, images: &[Vec<f32>]) -> Vec<u8> {
 
 #[test]
 fn run_batch_rejects_bad_geometry_and_unstaged_state() {
-    use grt_core::replay::workload_weights;
+    use grt_ml::reference::workload_weights;
     let (s, out) = recorded();
     let (host, session) = service_host(&s);
     let spec = grt_ml::zoo::mnist();
@@ -236,7 +235,7 @@ fn run_batch_rejects_bad_geometry_and_unstaged_state() {
         assert!(
             s.client
                 .tzasc
-                .owner_of(grt_core::client::GPU_MMIO_BASE)
+                .owner_of(grt_replay::client::GPU_MMIO_BASE)
                 .is_none(),
             "{what}: GPU left claimed"
         );
@@ -260,7 +259,7 @@ fn run_batch_rejects_bad_geometry_and_unstaged_state() {
     stage_weights();
     run_ok("unstaged weights");
 
-    let max = grt_core::compiled::MAX_BATCH;
+    let max = grt_replay::compiled::MAX_BATCH;
     refused(&batch_payload(0, &[]), "B=0");
     run_ok("B=0");
     refused(

@@ -11,7 +11,6 @@
 //! tests pins the other direction: all six zoo networks lint clean (no false positives),
 //! and the JSON report is byte-identical across runs (auditable evidence).
 
-use grt_core::replay::{ReplayError, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_gpu::regs::{job_control as jc, mmu_control as mc};
 use grt_gpu::GpuSku;
@@ -19,6 +18,7 @@ use grt_ir::gate::{CLIENT_MEM_BYTES, REPLAY_POLL_ITER_CAP};
 use grt_ir::recording::{Event, Recording, SignedRecording};
 use grt_lint::{Linter, Rule, Severity};
 use grt_net::NetConditions;
+use grt_replay::replay::{ReplayError, Replayer};
 
 fn record(spec: &grt_ml::NetworkSpec) -> (RecordSession, SignedRecording) {
     let mut s = RecordSession::new(
@@ -312,7 +312,8 @@ fn r9_poll_total_exceeds_envelope() {
 /// analyzer rejects never reaches event execution.
 #[test]
 fn replayer_refuses_what_the_analyzer_rejects() {
-    use grt_core::replay::{workload_weights, ReplayError, Replayer};
+    use grt_ml::reference::workload_weights;
+    use grt_replay::replay::{ReplayError, Replayer};
     let (s, signed) = record(&grt_ml::zoo::mnist());
     let key = s.recording_key();
     let mut rec = signed.verify_and_parse(&key).unwrap();
@@ -338,7 +339,8 @@ fn replayer_refuses_what_the_analyzer_rejects() {
 /// any device would ever fetch it.
 #[test]
 fn registry_refuses_what_the_analyzer_rejects() {
-    use grt_core::session::{recording_trust_root, RecordError};
+    use grt_core::session::RecordError;
+    use grt_replay::client::recording_trust_root;
     use grt_serve::{RecordingRegistry, RegistryConfig};
     let mut registry = RecordingRegistry::new(RegistryConfig::new(4));
     let spec = grt_ml::zoo::mnist();
@@ -359,7 +361,7 @@ fn registry_refuses_what_the_analyzer_rejects() {
         sku.gpu_id,
         grt_crypto::Sha256::digest(&evil.bytes),
         [0u8; 32],
-        grt_core::session::PROVISIONING_SECRET,
+        grt_replay::client::PROVISIONING_SECRET,
     );
     let err = registry
         .insert_signed(&spec, &sku, evil, Some(prov))

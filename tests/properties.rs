@@ -9,10 +9,11 @@
 
 use grt_compress::{compress, decompress, DeltaCodec};
 use grt_crypto::{hmac_sha256, ChaCha20, SecureChannel, Sha256};
-use grt_driver::{PollCond, RegVal, SymSlot};
+use grt_driver::{RegVal, SymSlot};
 use grt_gpu::job::{JobDescriptor, JobStatus, DESC_SIZE};
 use grt_gpu::mmu::{decode_pte, encode_pte, PteFlags};
 use grt_gpu::shader::{ConvParams, ShaderOp};
+use grt_gpu::PollCond;
 use grt_sim::Rng;
 
 mod support;
@@ -432,11 +433,11 @@ fn mmu_mappings_are_exact() {
 /// cloud's equals the client's. Repeatedly.
 #[test]
 fn memsync_converges_under_arbitrary_mutation() {
-    use grt_core::client::GpuShim;
     use grt_core::memsync::{MemSync, SyncMode};
     use grt_driver::{Region, RegionTable, Usage};
     use grt_gpu::mmu::PteFlags;
     use grt_gpu::{Gpu, GpuSku, Memory, PAGE_SIZE};
+    use grt_replay::client::GpuShim;
     use grt_sim::{Clock, Stats};
     use grt_tee::{SecureMonitor, Tzasc};
     use std::cell::RefCell;
@@ -517,9 +518,9 @@ fn memsync_converges_under_arbitrary_mutation() {
 ///   counters, and its whole receipt.
 #[test]
 fn compiled_replay_equals_interpreted_on_all_networks() {
-    use grt_core::replay::{workload_weights, Replayer};
     use grt_core::session::{RecordSession, RecorderMode};
-    use grt_ml::reference::test_input;
+    use grt_ml::reference::{test_input, workload_weights};
+    use grt_replay::replay::Replayer;
 
     for spec in grt_ml::zoo::all_benchmarks() {
         let mut s = RecordSession::new(

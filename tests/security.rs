@@ -4,13 +4,13 @@
 //! OS, and a network adversary on the cloud/client path. Each test pins
 //! one claim of the paper's security analysis.
 
-use grt_core::client::{GPU_MMIO_BASE, GPU_MMIO_LEN};
-use grt_core::replay::{workload_weights, Replayer};
 use grt_core::session::{RecordSession, RecorderMode};
 use grt_crypto::{AttestationReport, KeyPair, SecureChannel};
 use grt_gpu::GpuSku;
-use grt_ml::reference::test_input;
+use grt_ml::reference::{test_input, workload_weights};
 use grt_net::NetConditions;
+use grt_replay::client::{GPU_MMIO_BASE, GPU_MMIO_LEN};
+use grt_replay::replay::Replayer;
 use grt_tee::{AccessDecision, World};
 
 fn session() -> RecordSession {
@@ -57,11 +57,11 @@ fn local_adversary_cannot_touch_gpu_mmio_while_locked() {
 fn gpu_irqs_route_to_secure_world_while_locked() {
     let s = session();
     s.client.shim.borrow_mut().lock_gpu();
-    for irq in grt_core::client::GPU_IRQ_IDS {
+    for irq in grt_replay::client::GPU_IRQ_IDS {
         assert_eq!(s.client.monitor.irq_target(irq), World::Secure);
     }
     s.client.shim.borrow_mut().unlock_gpu();
-    for irq in grt_core::client::GPU_IRQ_IDS {
+    for irq in grt_replay::client::GPU_IRQ_IDS {
         assert_eq!(s.client.monitor.irq_target(irq), World::Normal);
     }
 }

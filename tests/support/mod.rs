@@ -12,12 +12,12 @@
 
 use grt_attest::{ReceiptCounters, ReplayReceipt};
 use grt_compress::DeltaCodec;
-use grt_core::client::{GPU_MMIO_BASE, GPU_MMIO_LEN};
-use grt_core::replay::{ReplayError, ReplayProfile, REPLAY_POLL_ITER_CAP};
-use grt_core::session::{ClientDevice, PROVISIONING_SECRET};
 use grt_crypto::{KeyPair, Sha256};
-use grt_driver::PollCond;
+use grt_gpu::PollCond;
+use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ir::recording::{irq_line_from, Event, SignedRecording};
+use grt_replay::client::{ClientDevice, GPU_MMIO_BASE, GPU_MMIO_LEN, PROVISIONING_SECRET};
+use grt_replay::replay::{ReplayError, ReplayProfile};
 use grt_sim::SimTime;
 
 /// Per-event interpreter overhead: wire-format event decode, offset
