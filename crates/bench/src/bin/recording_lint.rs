@@ -98,7 +98,7 @@ fn lint_files(paths: &[String]) -> ExitCode {
         // the spec); unknown workloads still get the structural rules.
         let specs = benchmarks();
         let spec = specs.iter().find(|s| s.name == rec.workload);
-        let report = linter.lint(&rec, &sku, spec);
+        let report = linter.lint(&rec, &sku, spec.map(|s| s as _));
         println!("{}", report.to_json());
         if !report.passed() {
             failed = true;

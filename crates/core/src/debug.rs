@@ -16,7 +16,7 @@
 
 use grt_ir::gate::REPLAY_POLL_ITER_CAP;
 use grt_ir::recording::{irq_line_from, Event, Recording};
-use grt_replay::client::{give_back_gpu, take_gpu, ClientDevice};
+use grt_replay::client::{apply_delta, take_gpu, ClientDevice};
 use grt_replay::compiled::decode_poll;
 use grt_sim::SimTime;
 
@@ -165,8 +165,7 @@ pub fn diff_recordings(reference: &Recording, other: &Recording) -> Vec<Divergen
 /// holds the GPU in the secure world while it drives it, as replay does.
 pub fn audit_replay(device: &ClientDevice, recording: &Recording) -> Vec<Divergence> {
     let mut out = Vec::new();
-    take_gpu(&device.tzasc, &device.monitor);
-    device.gpu.borrow_mut().hard_reset_now();
+    let _hold = take_gpu(&device.gpu, &device.tzasc, &device.monitor);
     device.mem.borrow_mut().wipe();
     let codec = grt_compress::DeltaCodec::new(grt_gpu::PAGE_SIZE);
     for (index, event) in recording.events.iter().enumerate() {
@@ -239,17 +238,10 @@ pub fn audit_replay(device: &ClientDevice, recording: &Recording) -> Vec<Diverge
                     out.push(Divergence::MemDelta { index, pa: *pa });
                     continue;
                 };
-                let mut mem = device.mem.borrow_mut();
-                for (page, xor) in parsed.pages() {
-                    mem.xor_range(
-                        pa.wrapping_add(u64::from(page) * grt_gpu::PAGE_SIZE as u64),
-                        xor,
-                    );
-                }
+                apply_delta(&mut device.mem.borrow_mut(), *pa, &parsed);
             }
         }
     }
-    give_back_gpu(&device.gpu, &device.tzasc, &device.monitor);
     out
 }
 

@@ -31,7 +31,7 @@ use grt_driver::{Loc, LockId, RegPort, RegVal, SpecToken, SymSlot};
 use grt_gpu::mem::Memory;
 use grt_gpu::regs::{gpu_control as gc, job_control as jc};
 use grt_gpu::{IrqLine, PollCond, PollResult, PollSpec};
-use grt_ir::recording::{Event, RecordingBuilder};
+use grt_ir::recording::Event;
 use grt_net::{Direction, Link};
 use grt_replay::client::{encode_batch, GpuShim, WireAccess};
 use grt_sim::{Clock, SimTime, Stats, Trace};
@@ -164,7 +164,7 @@ pub struct DriverShim {
     jobs_started: Cell<u64>,
 
     // Recording + memory sync.
-    builder: RefCell<RecordingBuilder>,
+    events: RefCell<Vec<Event>>,
     trace: RefCell<Option<Rc<Trace>>>,
     memsync: RefCell<MemSync>,
     cloud_mem: RefCell<Option<Rc<RefCell<Memory>>>>,
@@ -188,7 +188,7 @@ const RESP_BYTES_PER_READ: usize = 4;
 /// the retried layer's recorded reads differ from a zero-fault run).
 #[derive(Debug)]
 pub struct ShimCheckpoint {
-    builder_len: usize,
+    events_len: usize,
     memsync_baselines: HashMap<u64, Rc<Vec<u8>>>,
     client_up_baselines: HashMap<u64, Rc<Vec<u8>>>,
     cloud_regions: Vec<(u64, Vec<u8>)>,
@@ -229,7 +229,7 @@ impl DriverShim {
             inject_at_commit: Cell::new(None),
             commit_counter: Cell::new(0),
             jobs_started: Cell::new(0),
-            builder: RefCell::new(RecordingBuilder::new()),
+            events: RefCell::new(Vec::new()),
             trace: RefCell::new(None),
             memsync: RefCell::new(MemSync::new(mode, stats)),
             cloud_mem: RefCell::new(None),
@@ -297,7 +297,7 @@ impl DriverShim {
 
     /// Marks a layer boundary in the recording.
     pub fn begin_layer(&self, index: u32) {
-        self.builder.borrow_mut().push(Event::BeginLayer { index });
+        self.events.borrow_mut().push(Event::BeginLayer { index });
     }
 
     /// Captures a checkpoint at a committed deferral-queue boundary.
@@ -325,7 +325,7 @@ impl DriverShim {
         let gpu_state = client.gpu().borrow().clone();
         let client_up_baselines = client.up_baselines_snapshot();
         ShimCheckpoint {
-            builder_len: self.builder.borrow().len(),
+            events_len: self.events.borrow().len(),
             memsync_baselines: self.memsync.borrow().baselines_snapshot(),
             client_up_baselines,
             cloud_regions,
@@ -345,7 +345,7 @@ impl DriverShim {
         self.queue.borrow_mut().clear();
         self.outstanding.borrow_mut().clear();
         self.control_taints.borrow_mut().clear();
-        self.builder.borrow_mut().truncate(ckpt.builder_len);
+        self.events.borrow_mut().truncate(ckpt.events_len);
         self.jobs_started.set(ckpt.jobs_started);
         self.memsync
             .borrow_mut()
@@ -389,11 +389,11 @@ impl DriverShim {
         self.stats.inc("record.rollbacks");
     }
 
-    /// Takes the finished recording builder (end of record run).
-    pub fn take_builder(&self) -> RecordingBuilder {
+    /// Takes the recorded events (end of record run).
+    pub fn take_events(&self) -> Vec<Event> {
         self.join_all_outstanding();
         self.commit("drivershim:finalize");
-        std::mem::take(&mut self.builder.borrow_mut())
+        std::mem::take(&mut self.events.borrow_mut())
     }
 
     /// Count of commits issued so far.
@@ -434,7 +434,7 @@ impl DriverShim {
         };
         self.link
             .transfer(64 + up.total_bytes() as usize, Direction::Up);
-        self.builder.borrow_mut().push(Event::WaitIrq {
+        self.events.borrow_mut().push(Event::WaitIrq {
             line: grt_ir::recording::irq_line_code(IrqLine::Job),
         });
         true
@@ -644,7 +644,7 @@ impl DriverShim {
         let mut tokens = Vec::new();
         {
             let mut client = self.client.borrow_mut();
-            let mut builder = self.builder.borrow_mut();
+            let mut events = self.events.borrow_mut();
             for q in &batch {
                 match q {
                     Queued::Read {
@@ -660,7 +660,7 @@ impl DriverShim {
                         } else {
                             token.validate();
                         }
-                        builder.push(Event::RegRead {
+                        events.push(Event::RegRead {
                             offset: *offset,
                             value: v,
                             verify: is_deterministic_reg(*offset),
@@ -675,7 +675,7 @@ impl DriverShim {
                             offset: *offset,
                             value: v,
                         }]);
-                        builder.push(Event::RegWrite {
+                        events.push(Event::RegWrite {
                             offset: *offset,
                             value: v,
                         });
@@ -757,10 +757,7 @@ impl DriverShim {
             self.link
                 .transfer(out.total_bytes() as usize + 64, Direction::Down);
         }
-        let mut builder = self.builder.borrow_mut();
-        for ev in out.events {
-            builder.push(ev);
-        }
+        self.events.borrow_mut().extend(out.events);
     }
 
     /// One synchronous single-access round trip (the non-deferred path:
@@ -789,11 +786,11 @@ impl DriverShim {
                 .expect("sealed access authenticates at the client");
         }
         let reads = self.client.borrow_mut().execute_batch(&[access]);
-        let mut builder = self.builder.borrow_mut();
+        let mut events = self.events.borrow_mut();
         match access {
             WireAccess::Read { offset } => {
                 let v = reads[0];
-                builder.push(Event::RegRead {
+                events.push(Event::RegRead {
                     offset,
                     value: v,
                     verify: is_deterministic_reg(offset),
@@ -802,7 +799,7 @@ impl DriverShim {
                 Some(v)
             }
             WireAccess::Write { offset, value } => {
-                builder.push(Event::RegWrite { offset, value });
+                events.push(Event::RegWrite { offset, value });
                 self.stats.inc("shim.writes");
                 None
             }
@@ -910,7 +907,7 @@ impl RegPort for DriverShim {
         // The loop begins with a control dependency: flush what's queued.
         self.commit(loc);
         self.stats.inc("poll.instances");
-        self.builder.borrow_mut().push(poll_event(&spec));
+        self.events.borrow_mut().push(poll_event(&spec));
 
         if self.cfg.offload_polls {
             // §4.3: one message carries the loop; predicate speculation.
@@ -1373,29 +1370,16 @@ mod tests {
         let v = r.shim.read("t", gc::SHADER_CONFIG);
         r.shim.write("t", gc::SHADER_CONFIG, v | 1);
         r.shim.exit_hot("h");
-        let builder = r.shim.take_builder();
-        let rec = builder.finish(
-            "t".into(),
-            0,
-            grt_ir::recording::DataSlot {
-                pa: 0,
-                len_elems: 0,
-            },
-            grt_ir::recording::DataSlot {
-                pa: 0,
-                len_elems: 0,
-            },
-            vec![],
-        );
+        let events = r.shim.take_events();
         assert!(matches!(
-            rec.events[0],
+            events[0],
             Event::RegRead {
                 offset: gc::SHADER_CONFIG,
                 ..
             }
         ));
         assert!(matches!(
-            rec.events[1],
+            events[1],
             Event::RegWrite {
                 offset: gc::SHADER_CONFIG,
                 ..

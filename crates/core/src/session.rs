@@ -18,7 +18,7 @@ use grt_crypto::{AttestationReport, KeyPair};
 use grt_driver::{DriverError, JobIrqOutcome, KbaseDriver, RegionTable};
 use grt_gpu::mem::Memory;
 use grt_gpu::GpuSku;
-use grt_ir::recording::{DataSlot, SignedRecording};
+use grt_ir::recording::{DataSlot, Recording, SignedRecording};
 use grt_ml::NetworkSpec;
 use grt_net::{Direction, Link, NetConditions, RadioPower};
 use grt_runtime::{compile_network_dry, CompiledNetwork};
@@ -430,7 +430,6 @@ impl RecordSession {
 
         // --- Client TEE takes the GPU and scrubs all state (§3.2). ------
         self.client.shim.borrow_mut().lock_gpu();
-        self.client.gpu.borrow_mut().hard_reset_now();
         self.client.mem.borrow_mut().wipe();
         self.client.shim.borrow_mut().reset_baselines();
         self.shim.reset_sync_state();
@@ -483,32 +482,25 @@ impl RecordSession {
         }
 
         // --- Post-process, sign, download (§3.2). -----------------------
-        let builder = self.shim.take_builder();
+        let events = self.shim.take_events();
         let regions = self.regions.borrow();
-        let input = DataSlot {
-            pa: region_pa(&regions, net.input_va),
-            len_elems: net.input_len,
+        let slot = |va, len_elems| DataSlot {
+            pa: region_pa(&regions, va),
+            len_elems,
         };
-        let output = DataSlot {
-            pa: region_pa(&regions, net.output_va),
-            len_elems: net.output_len,
+        let recording = Recording {
+            workload: spec.name.to_owned(),
+            gpu_id: net.compiled_for_gpu_id,
+            input: slot(net.input_va, net.input_len),
+            output: slot(net.output_va, net.output_len),
+            weights: net
+                .weight_slots
+                .iter()
+                .map(|&(va, len)| slot(va, len))
+                .collect(),
+            events,
         };
-        let weights = net
-            .weight_slots
-            .iter()
-            .map(|&(va, len)| DataSlot {
-                pa: region_pa(&regions, va),
-                len_elems: len,
-            })
-            .collect();
         drop(regions);
-        let recording = builder.finish(
-            spec.name.to_owned(),
-            net.compiled_for_gpu_id,
-            input,
-            output,
-            weights,
-        );
         let signed = SignedRecording::sign(&recording, &self.signing_key);
         // The download is idempotent (same signed blob every attempt).
         let mut download_tries = 0;

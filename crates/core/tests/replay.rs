@@ -368,3 +368,56 @@ fn layered_replay_holds_the_gpu_between_layers() {
         "not released by the error"
     );
 }
+
+/// Dropping a layered replay mid-walk, with no `finish` and no error,
+/// gives the GPU back as `finish` does: the normal world reaches the MMIO
+/// window again, the interrupts go back to it, the fusion plan is
+/// detached, and the next replay matches a fresh device's bit for bit.
+#[test]
+fn dropping_a_layered_replay_mid_walk_gives_the_gpu_back() {
+    let (s, out) = record_mnist(RecorderMode::OursMDS);
+    let spec = grt_ml::zoo::mnist();
+    let key = s.recording_key();
+    let input = test_input(&spec, 3);
+    let weights = workload_weights(&spec);
+    let mut replayer = Replayer::new(&s.client, permissive());
+    let compiled = replayer.compile_signed(&out.recording, &key).unwrap();
+    assert!(!compiled.fusion_plan().is_empty(), "MNIST should fuse");
+    let mut layered = replayer.begin_layered(&compiled, &input, &weights).unwrap();
+    for _ in 0..2 {
+        assert!(layered.replay_layer().unwrap().is_some());
+    }
+    drop(layered);
+    assert_eq!(
+        s.client.tzasc.check(World::Normal, GPU_MMIO_BASE + 0x30),
+        AccessDecision::Allowed,
+        "MMIO window still denied"
+    );
+    for irq in GPU_IRQ_IDS {
+        assert_eq!(
+            s.client.monitor.irq_target(irq),
+            World::Normal,
+            "IRQ {irq} still routed to the TEE"
+        );
+    }
+    assert!(
+        s.client.gpu.borrow_mut().take_fusion_plan().is_empty(),
+        "fusion plan still installed"
+    );
+
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (after, _) = replayer
+        .replay_compiled(&compiled, &input, &weights)
+        .unwrap();
+    let (fresh_s, fresh_out) = record_mnist(RecorderMode::OursMDS);
+    let fresh_key = fresh_s.recording_key();
+    let mut fresh = Replayer::new(&fresh_s.client, permissive());
+    let fresh_compiled = fresh
+        .compile_signed(&fresh_out.recording, &fresh_key)
+        .unwrap();
+    let (expected, _) = fresh
+        .replay_compiled(&fresh_compiled, &input, &weights)
+        .unwrap();
+    assert_eq!(bits(&after), bits(&expected));
+    assert_eq!(replayer.last_profile(), fresh.last_profile());
+}

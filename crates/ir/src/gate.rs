@@ -60,6 +60,24 @@ pub trait RecordingGate {
     fn vet(&self, ir: &IrProgram, sku: &GpuSku) -> Result<(), Rejection>;
 }
 
+/// The shape a recording of one network must have: what an analyzer's
+/// spec-aware checks (grt-lint's R4 and R6) compare the recording's slots
+/// and layer markers against. The model zoo implements it for its network
+/// specs; the in-TEE gate vets without one.
+pub trait WorkloadShape {
+    /// The workload name the recording's header must carry.
+    fn workload(&self) -> &str;
+    /// Input slot length, in elements.
+    fn input_len(&self) -> u32;
+    /// Output slot length, in elements.
+    fn output_len(&self) -> u32;
+    /// Parameter slot lengths, in elements, in the order the parameters
+    /// are staged (and so the order of the recording's weight slots).
+    fn param_lens(&self) -> Vec<u32>;
+    /// Number of layers, one `BeginLayer` marker each.
+    fn layer_count(&self) -> usize;
+}
+
 /// A gate that accepts everything.
 ///
 /// Exists for tests that must get a known-bad recording *past* static

@@ -12,21 +12,24 @@
 //! * every `JS_COMMAND = START` becomes a [`program::JobChain`] whose
 //!   shader instructions carry shape metadata and page-resolved operand
 //!   tensors;
-//! * [`dataflow`] computes the def-use relation over those operands;
-//! * [`dump`] renders it all as deterministic text.
+//! * [`dataflow`] computes the def-use relation over those operands.
 //!
 //! [`lift_recording`] reads a [`recording::Recording`] directly. grt-lint
 //! proves R1–R9 over the lift through the [`gate::RecordingGate`] interface
-//! the replayer calls, and grt-core lowers `CompiledRecording` from the
+//! the replayer calls, and grt-replay lowers `CompiledRecording` from the
 //! same lift, so the two never disagree about what the bytes mean. Lifting
 //! is total: malformed input becomes [`program::Anomaly`] annotations,
-//! never a lifter error. The crate sits below the recorder, driver and
-//! runtime, so the analyzer's build pulls in none of them.
+//! never a lifter error. The analyzer's spec-aware checks take a network's
+//! shape through [`gate::WorkloadShape`], which the model zoo implements.
+//!
+//! The crate sits below the recorder, driver, runtime and model zoo, and
+//! keeps out code the client TEE never runs: the cloud recorder collects
+//! its events in a plain `Vec`, and the `ir-dump` CLI renders the lift as
+//! text itself.
 
 #![warn(missing_docs)]
 
 pub mod dataflow;
-pub mod dump;
 pub mod fusion;
 pub mod gate;
 pub mod iset;

@@ -339,60 +339,6 @@ impl SignedRecording {
 /// File-format magic for persisted recordings ("GRTREC01").
 const FILE_MAGIC: &[u8; 8] = b"GRTREC01";
 
-/// Incremental construction during a record run.
-#[derive(Debug, Default)]
-pub struct RecordingBuilder {
-    events: Vec<Event>,
-}
-
-impl RecordingBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        RecordingBuilder::default()
-    }
-
-    /// Appends an event.
-    pub fn push(&mut self, e: Event) {
-        self.events.push(e);
-    }
-
-    /// Number of events so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Discards every event past `len` — checkpoint rollback: events
-    /// recorded by a partially failed layer attempt must not reach the
-    /// final recording.
-    pub fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
-    }
-
-    /// Finalizes into a [`Recording`].
-    pub fn finish(
-        self,
-        workload: String,
-        gpu_id: u32,
-        input: DataSlot,
-        output: DataSlot,
-        weights: Vec<DataSlot>,
-    ) -> Recording {
-        Recording {
-            workload,
-            gpu_id,
-            input,
-            output,
-            weights,
-            events: self.events,
-        }
-    }
-}
-
 // --- byte codec helpers -------------------------------------------------
 
 fn put_u32(b: &mut Vec<u8>, v: u32) {
@@ -612,28 +558,5 @@ mod tests {
             assert_eq!(irq_line_from(irq_line_code(line)), Some(line));
         }
         assert_eq!(irq_line_from(9), None);
-    }
-
-    #[test]
-    fn builder_accumulates() {
-        let mut b = RecordingBuilder::new();
-        assert!(b.is_empty());
-        b.push(Event::BeginLayer { index: 0 });
-        b.push(Event::WaitIrq { line: 1 });
-        assert_eq!(b.len(), 2);
-        let r = b.finish(
-            "X".into(),
-            1,
-            DataSlot {
-                pa: 0,
-                len_elems: 0,
-            },
-            DataSlot {
-                pa: 0,
-                len_elems: 0,
-            },
-            vec![],
-        );
-        assert_eq!(r.events.len(), 2);
     }
 }

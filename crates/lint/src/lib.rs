@@ -36,8 +36,10 @@
 //! physical address 0 and the
 //! [`REPLAY_POLL_ITER_CAP`](grt_ir::gate::REPLAY_POLL_ITER_CAP) spin cap — so the
 //! analyzer and the replayer share one bound each. The crate depends only
-//! on the layers below the lifter (no recorder, driver or runtime), which
-//! keeps the in-TEE gate's build small.
+//! on the layers below the lifter (no recorder, driver, runtime or model
+//! zoo), which keeps the in-TEE gate's build small: the spec-aware R4/R6
+//! checks read a network's shape through [`grt_ir::gate::WorkloadShape`],
+//! which grt-ml implements, and the TEE's gate vets without one.
 
 #![warn(missing_docs)]
 
@@ -49,10 +51,9 @@ mod pass;
 pub use report::{CertifiedBudget, Diagnostic, LintReport, Rule, Severity};
 
 use grt_gpu::GpuSku;
-use grt_ir::gate::{RecordingGate, Rejection};
+use grt_ir::gate::{RecordingGate, Rejection, WorkloadShape};
 use grt_ir::recording::Recording;
 use grt_ir::IrProgram;
-use grt_ml::NetworkSpec;
 
 /// The analyzer. Stateless; cheap to construct.
 #[derive(Debug, Default, Clone, Copy)]
@@ -65,12 +66,18 @@ impl Linter {
     }
 
     /// Runs all nine rules over `rec` for `sku`, consulting `spec` for the
-    /// shape checks when one is available (R4/R6 get stricter with it).
+    /// shape checks when one is available (R4/R6 get stricter with it;
+    /// grt-ml's `NetworkSpec` is one).
     /// Lifts the recording to the semantics IR internally — a convenience
     /// for the `recording-lint` CLI and tests. Callers that already hold a
     /// lift (the replayer and the serving registry lift once for lint
     /// *and* compile) use [`Linter::lint_ir`].
-    pub fn lint(&self, rec: &Recording, sku: &GpuSku, spec: Option<&NetworkSpec>) -> LintReport {
+    pub fn lint(
+        &self,
+        rec: &Recording,
+        sku: &GpuSku,
+        spec: Option<&dyn WorkloadShape>,
+    ) -> LintReport {
         let ir = grt_ir::lift_recording(rec, sku.pte_quirk);
         self.lint_ir(&ir, sku, spec)
     }
@@ -78,7 +85,12 @@ impl Linter {
     /// Runs all nine rules over an already-lifted recording. The lift must
     /// have used `sku`'s PTE quirk (page-table walks must match the GPU
     /// being vetted for) — [`grt_ir::lift_recording`] does.
-    pub fn lint_ir(&self, ir: &IrProgram, sku: &GpuSku, spec: Option<&NetworkSpec>) -> LintReport {
+    pub fn lint_ir(
+        &self,
+        ir: &IrProgram,
+        sku: &GpuSku,
+        spec: Option<&dyn WorkloadShape>,
+    ) -> LintReport {
         pass::Pass::new(ir, sku, spec).run()
     }
 }

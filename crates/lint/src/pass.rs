@@ -19,11 +19,10 @@ use crate::whitelist;
 use grt_gpu::regs::{gpu_control as gc, job_control as jc, mmu_control as mc};
 use grt_gpu::{GpuSku, PAGE_SIZE};
 use grt_ir::dataflow::{self, FindingKind};
-use grt_ir::gate::{CLIENT_MEM_BYTES, REPLAY_POLL_ITER_CAP};
+use grt_ir::gate::{WorkloadShape, CLIENT_MEM_BYTES, REPLAY_POLL_ITER_CAP};
 use grt_ir::program::{Dir, JobChain, RegClass, Step};
 use grt_ir::shadow::WalkSummary;
 use grt_ir::IrProgram;
-use grt_ml::NetworkSpec;
 use std::collections::BTreeSet;
 
 /// Interrupt-line indices (wire codes from `grt_ir::recording::irq_line_code`).
@@ -62,7 +61,7 @@ fn in_carveout(pa: u64, len: u64) -> bool {
 pub(crate) struct Pass<'a> {
     ir: &'a IrProgram,
     sku: &'a GpuSku,
-    spec: Option<&'a NetworkSpec>,
+    spec: Option<&'a dyn WorkloadShape>,
     diags: Vec<Diagnostic>,
     prfcnt_lo: u32,
     prfcnt_hi: u32,
@@ -77,7 +76,11 @@ pub(crate) struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    pub(crate) fn new(ir: &'a IrProgram, sku: &'a GpuSku, spec: Option<&'a NetworkSpec>) -> Self {
+    pub(crate) fn new(
+        ir: &'a IrProgram,
+        sku: &'a GpuSku,
+        spec: Option<&'a dyn WorkloadShape>,
+    ) -> Self {
         Pass {
             ir,
             sku,
@@ -233,62 +236,31 @@ impl<'a> Pass<'a> {
 
     fn check_spec(&mut self) {
         let Some(spec) = self.spec else { return };
-        if self.ir.workload != spec.name {
-            self.diag(
-                Rule::R4SlotShape,
-                Severity::Error,
-                None,
+        let (name, input, output) = (spec.workload(), spec.input_len(), spec.output_len());
+        let (workload, got_in, got_out) = (
+            &self.ir.workload,
+            self.ir.input.len_elems,
+            self.ir.output.len_elems,
+        );
+        let (weights, params): (Vec<u32>, _) = (
+            self.ir.weights.iter().map(|w| w.len_elems).collect(),
+            spec.param_lens(),
+        );
+        let findings = [
+            (workload != name)
+                .then(|| format!("recording is for workload {workload:?}, spec is {name:?}")),
+            (got_in != input)
+                .then(|| format!("input slot holds {got_in} elems, spec wants {input}")),
+            (got_out != output)
+                .then(|| format!("output slot holds {got_out} elems, spec wants {output}")),
+            (weights != params).then(|| {
                 format!(
-                    "recording is for workload {:?}, spec is {:?}",
-                    self.ir.workload, spec.name
-                ),
-            );
-        }
-        if self.ir.input.len_elems != spec.input_len {
-            self.diag(
-                Rule::R4SlotShape,
-                Severity::Error,
-                None,
-                format!(
-                    "input slot holds {} elems, spec wants {}",
-                    self.ir.input.len_elems, spec.input_len
-                ),
-            );
-        }
-        if self.ir.output.len_elems != spec.output_len {
-            self.diag(
-                Rule::R4SlotShape,
-                Severity::Error,
-                None,
-                format!(
-                    "output slot holds {} elems, spec wants {}",
-                    self.ir.output.len_elems, spec.output_len
-                ),
-            );
-        }
-        // Weight slots in layer order: weights then biases, zero-length
-        // buffers omitted — the same order `workload_weights` stages.
-        let mut expected: Vec<u32> = Vec::new();
-        for layer in &spec.layers {
-            let wl = layer.op.weight_len();
-            let bl = layer.op.bias_len();
-            if wl > 0 {
-                expected.push(wl);
-            }
-            if bl > 0 {
-                expected.push(bl);
-            }
-        }
-        let got: Vec<u32> = self.ir.weights.iter().map(|w| w.len_elems).collect();
-        if got != expected {
-            self.diag(
-                Rule::R4SlotShape,
-                Severity::Error,
-                None,
-                format!(
-                    "weight slots {got:?} do not match the spec's parameter shapes {expected:?}"
-                ),
-            );
+                    "weight slots {weights:?} do not match the spec's parameter shapes {params:?}"
+                )
+            }),
+        ];
+        for message in findings.into_iter().flatten() {
+            self.diag(Rule::R4SlotShape, Severity::Error, None, message);
         }
     }
 
@@ -739,7 +711,7 @@ impl<'a> Pass<'a> {
             );
         }
         if let Some(spec) = self.spec {
-            if self.next_layer != 0 && self.next_layer as usize != spec.layers.len() {
+            if self.next_layer != 0 && self.next_layer as usize != spec.layer_count() {
                 self.diag(
                     Rule::R6LayerStructure,
                     Severity::Error,
@@ -747,7 +719,7 @@ impl<'a> Pass<'a> {
                     format!(
                         "recording has {} layer(s), spec has {}",
                         self.next_layer,
-                        spec.layers.len()
+                        spec.layer_count()
                     ),
                 );
             }

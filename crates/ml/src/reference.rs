@@ -7,6 +7,7 @@
 
 use crate::spec::{LayerOp, NetworkSpec};
 use grt_gpu::PoolKind;
+use grt_ir::gate::WorkloadShape;
 use grt_sim::Rng;
 
 /// Deterministic weights for layer `layer_idx` of `net_name`.
@@ -29,22 +30,59 @@ pub fn biases_for_layer(net_name: &str, layer_idx: usize, len: usize) -> Vec<f32
     (0..len).map(|_| rng.gen_f32_range(-0.1, 0.1)).collect()
 }
 
+/// The parameter buffers of `spec` in recording slot order — weights then
+/// bias per layer, empty buffers omitted — as `(layer index, is the bias,
+/// length in elements)`. The one statement of that order:
+/// [`workload_weights`] stages by it and the analyzer's shape checks
+/// compare weight slots against it.
+fn param_slots(spec: &NetworkSpec) -> impl Iterator<Item = (usize, bool, u32)> + '_ {
+    spec.layers
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, layer)| {
+            [
+                (idx, false, layer.op.weight_len()),
+                (idx, true, layer.op.bias_len()),
+            ]
+        })
+        .filter(|&(_, _, len)| len > 0)
+}
+
 /// Generates the real model parameters for `spec` in recording slot order
 /// (weights then bias per layer, empty buffers omitted) — the data the app
 /// provides inside the TEE at replay time.
 pub fn workload_weights(spec: &NetworkSpec) -> Vec<Vec<f32>> {
-    let mut out = Vec::new();
-    for (idx, layer) in spec.layers.iter().enumerate() {
-        let wl = layer.op.weight_len() as usize;
-        let bl = layer.op.bias_len() as usize;
-        if wl > 0 {
-            out.push(weights_for_layer(spec.name, idx, wl));
-        }
-        if bl > 0 {
-            out.push(biases_for_layer(spec.name, idx, bl));
-        }
+    param_slots(spec)
+        .map(|(idx, bias, len)| {
+            if bias {
+                biases_for_layer(spec.name, idx, len as usize)
+            } else {
+                weights_for_layer(spec.name, idx, len as usize)
+            }
+        })
+        .collect()
+}
+
+impl WorkloadShape for NetworkSpec {
+    fn workload(&self) -> &str {
+        self.name
     }
-    out
+
+    fn input_len(&self) -> u32 {
+        self.input_len
+    }
+
+    fn output_len(&self) -> u32 {
+        self.output_len
+    }
+
+    fn param_lens(&self) -> Vec<u32> {
+        param_slots(self).map(|(_, _, len)| len).collect()
+    }
+
+    fn layer_count(&self) -> usize {
+        self.layers.len()
+    }
 }
 
 /// A deterministic test input for a network.

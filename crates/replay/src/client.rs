@@ -11,11 +11,13 @@
 //!   the cloud;
 //! - applies the cloud's metastate memory deltas into client DRAM.
 //!
-//! [`take_gpu`]/[`give_back_gpu`] are the one way the TEE holds the GPU.
+//! [`take_gpu`] and the [`GpuHold`] it returns are the one way the TEE
+//! holds the GPU.
 
+use grt_compress::{CorruptStream, DeltaCodec, ParsedDelta};
 use grt_crypto::{KeyPair, SecureChannel};
 use grt_gpu::mem::Memory;
-use grt_gpu::{Gpu, GpuSku, IrqLine, PollResult, PollSpec};
+use grt_gpu::{Gpu, GpuSku, IrqLine, PollResult, PollSpec, PAGE_SIZE};
 use grt_ir::gate::CLIENT_MEM_BYTES;
 use grt_sim::{Clock, EnergyMeter, Rail, SimTime, Stats};
 use grt_tee::{SecureMonitor, Tzasc, World};
@@ -31,25 +33,57 @@ pub const GPU_MMIO_LEN: u64 = 0x4000;
 /// The GPU's three interrupt ids (job/mmu/gpu on the HiKey960).
 pub const GPU_IRQ_IDS: [u32; 3] = [265, 266, 267];
 
-/// Takes the GPU into the secure world: the TZASC claims its MMIO window
-/// and the secure monitor routes its interrupts to the TEE (§6: "during
-/// record and replay").
-pub fn take_gpu(tzasc: &Tzasc, monitor: &SecureMonitor) {
+/// The TEE's hold on the GPU, from [`take_gpu`]. Dropping it gives the GPU
+/// back to the normal world, resetting hardware state first (§3.2: "before
+/// and after the replay, it resets the GPU and cleans up all the hardware
+/// state"): it detaches any fusion plan and batch lanes, hard-resets the
+/// GPU, releases the MMIO window and routes the interrupts back. So every
+/// way out of a replay, a record run or an audit — the end, an error, an
+/// early drop — gives the GPU back exactly once.
+#[must_use = "dropping the hold gives the GPU back at once"]
+pub struct GpuHold {
+    gpu: Rc<RefCell<Gpu>>,
+    tzasc: Rc<Tzasc>,
+    monitor: Rc<SecureMonitor>,
+}
+
+/// Takes the GPU into the secure world (§6: "during record and replay"):
+/// the TZASC claims its MMIO window, the secure monitor routes its
+/// interrupts to the TEE, and the GPU is hard-reset. The TEE holds the GPU
+/// until the returned [`GpuHold`] drops.
+pub fn take_gpu(gpu: &Rc<RefCell<Gpu>>, tzasc: &Rc<Tzasc>, monitor: &Rc<SecureMonitor>) -> GpuHold {
     tzasc.claim(GPU_MMIO_BASE, GPU_MMIO_LEN, World::Secure);
     for irq in GPU_IRQ_IDS {
         monitor.route_irq(irq, World::Secure);
     }
+    gpu.borrow_mut().hard_reset_now();
+    GpuHold {
+        gpu: Rc::clone(gpu),
+        tzasc: Rc::clone(tzasc),
+        monitor: Rc::clone(monitor),
+    }
 }
 
-/// Gives the GPU back to the normal world, resetting hardware state first
-/// (§3.2: "before and after the replay, it resets the GPU and cleans up
-/// all the hardware state"), then releasing the MMIO window and routing
-/// the interrupts back.
-pub fn give_back_gpu(gpu: &RefCell<Gpu>, tzasc: &Tzasc, monitor: &SecureMonitor) {
-    gpu.borrow_mut().hard_reset_now();
-    tzasc.release(GPU_MMIO_BASE, GPU_MMIO_LEN);
-    for irq in GPU_IRQ_IDS {
-        monitor.route_irq(irq, World::Normal);
+impl Drop for GpuHold {
+    fn drop(&mut self) {
+        let mut gpu = self.gpu.borrow_mut();
+        gpu.take_fusion_plan();
+        gpu.take_batch_lanes();
+        gpu.hard_reset_now();
+        drop(gpu);
+        self.tzasc.release(GPU_MMIO_BASE, GPU_MMIO_LEN);
+        for irq in GPU_IRQ_IDS {
+            self.monitor.route_irq(irq, World::Normal);
+        }
+    }
+}
+
+/// Applies a parsed metastate delta to the region at `pa` in place: each
+/// changed page's XOR lands on its bytes. A delta parsed with the region's
+/// length as its bound leaves the region as dump, decode and restore would.
+pub fn apply_delta(mem: &mut Memory, pa: u64, delta: &ParsedDelta) {
+    for (page, xor) in delta.pages() {
+        mem.xor_range(pa.wrapping_add(u64::from(page) * PAGE_SIZE as u64), xor);
     }
 }
 
@@ -143,7 +177,9 @@ pub struct GpuShim {
     /// Regions whose cleared dirty bits are known to match `up_baselines`
     /// (see `MemSync::dirty_trusted` for the invariant).
     up_trusted: HashSet<u64>,
-    locked: bool,
+    /// The TEE's hold on the GPU between [`GpuShim::lock_gpu`] and
+    /// [`GpuShim::unlock_gpu`].
+    hold: Option<GpuHold>,
     /// GPU draw while executing a job, in watts (Figure 9 model).
     pub gpu_active_watts: f64,
 }
@@ -168,7 +204,7 @@ impl GpuShim {
             energy: None,
             up_baselines: HashMap::new(),
             up_trusted: HashSet::new(),
-            locked: false,
+            hold: None,
             gpu_active_watts: 2.0,
         }
     }
@@ -193,22 +229,23 @@ impl GpuShim {
         &mut self.channel
     }
 
-    /// Locks the GPU into the secure world: TZASC claim over MMIO and
-    /// interrupt re-routing to the TEE (§7.1 "recording integrity").
+    /// Locks the GPU into the secure world through [`take_gpu`]: TZASC
+    /// claim over MMIO, interrupt re-routing to the TEE and a hard reset
+    /// (§7.1 "recording integrity"). Locking a GPU the shim already holds
+    /// gives it back and takes it afresh.
     pub fn lock_gpu(&mut self) {
-        take_gpu(&self.tzasc, &self.monitor);
-        self.locked = true;
+        self.unlock_gpu();
+        self.hold = Some(take_gpu(&self.gpu, &self.tzasc, &self.monitor));
     }
 
-    /// Releases the GPU back to the normal world through [`give_back_gpu`].
+    /// Releases the GPU back to the normal world by dropping its hold.
     pub fn unlock_gpu(&mut self) {
-        give_back_gpu(&self.gpu, &self.tzasc, &self.monitor);
-        self.locked = false;
+        self.hold = None;
     }
 
     /// True while the TEE holds the GPU.
     pub fn is_locked(&self) -> bool {
-        self.locked
+        self.hold.is_some()
     }
 
     /// Models the OP-TEE message path: cloud traffic arrives at the
@@ -279,21 +316,22 @@ impl GpuShim {
         Some(waited)
     }
 
-    /// Applies a cloud metastate delta at `pa` (length `len`), using the
-    /// current memory content as the delta base — exactly mirroring the
-    /// cloud's encoder state.
+    /// Applies a cloud metastate delta at `pa` (length `len`) in place,
+    /// using the current memory content as the delta base — exactly
+    /// mirroring the cloud's encoder state.
     pub fn apply_mem_delta(
         &mut self,
-        codec: &grt_compress::DeltaCodec,
+        codec: &DeltaCodec,
         pa: u64,
         len: usize,
         delta: &[u8],
-    ) -> Result<(), grt_compress::CorruptStream> {
-        let current = self.mem.borrow().dump_range(pa, len);
+    ) -> Result<(), CorruptStream> {
+        let mut mem = self.mem.borrow_mut();
         // Bounded: a forged delta cannot state a larger output than the
         // memory actually backing the region it claims to cover.
-        let new = codec.decode_limited(&current, delta, len.min(current.len()))?;
-        self.mem.borrow_mut().restore_range(pa, &new);
+        let backed = mem.size().saturating_sub(pa as usize);
+        let parsed = codec.parse_limited(delta, len.min(backed))?;
+        apply_delta(&mut mem, pa, &parsed);
         Ok(())
     }
 
@@ -303,12 +341,7 @@ impl GpuShim {
     /// If no page of the region was written since the baseline was pinned,
     /// the unchanged delta is synthesized without dumping the region —
     /// byte-identical to encoding the dump against itself.
-    pub fn dump_up_delta(
-        &mut self,
-        codec: &grt_compress::DeltaCodec,
-        pa: u64,
-        len: usize,
-    ) -> Vec<u8> {
+    pub fn dump_up_delta(&mut self, codec: &DeltaCodec, pa: u64, len: usize) -> Vec<u8> {
         if self.up_trusted.contains(&pa) && !self.mem.borrow().any_dirty(pa, len) {
             if let Some(baseline) = self.up_baselines.get(&pa) {
                 if baseline.len() == len {
@@ -358,7 +391,7 @@ impl GpuShim {
 impl std::fmt::Debug for GpuShim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GpuShim")
-            .field("locked", &self.locked)
+            .field("locked", &self.is_locked())
             .finish()
     }
 }

@@ -8,7 +8,8 @@
 //! writes go to the hardware, deterministic reads are checked, polls and
 //! interrupt waits pace execution, memory deltas rebuild the metastate.
 //! Before and after a replay the GPU is reset, and while it runs the TEE
-//! holds the GPU ([`crate::client::take_gpu`]).
+//! holds the GPU ([`crate::client::take_gpu`]); the hold's drop gives it
+//! back on every way out of a walk.
 //!
 //! There is one walk. One-shot [`Replayer::replay`] lowers with fusion off
 //! and charges the interpreted prices; warm [`Replayer::replay_compiled`],
@@ -16,7 +17,7 @@
 //! a recording lowered once by [`Replayer::compile_signed`] and charge the
 //! compiled prices (DESIGN.md §9). The prices are the only difference.
 
-use crate::client::{give_back_gpu, take_gpu, ClientDevice, PROVISIONING_SECRET};
+use crate::client::{apply_delta, take_gpu, ClientDevice, GpuHold, PROVISIONING_SECRET};
 use crate::compiled::{lower, CompileError, CompiledRecording, Op, PreparedDelta, MAX_BATCH};
 use grt_attest::{ReceiptCounters, ReplayReceipt};
 use grt_crypto::{KeyPair, Sha256};
@@ -437,7 +438,7 @@ impl Replayer {
         self.profile = ReplayProfile::default();
         let t0 = self.clock.now();
         let exec0 = self.device_gpu.borrow().exec_stats();
-        self.stage(compiled, inputs[0].as_ref(), weights);
+        let hold = self.stage(compiled, inputs[0].as_ref(), weights);
         // Lane images: fork the restored primary, then overwrite the input
         // slot. The fork copies every page staging touched — page tables,
         // descriptors, weight pages — and the rest is zero on both sides,
@@ -452,13 +453,9 @@ impl Replayer {
             })
             .collect();
         self.device_gpu.borrow_mut().set_batch_lanes(lanes);
-        if let Err(e) = compiled
+        compiled
             .kept_ops()
-            .try_for_each(|op| self.exec_op(compiled, op, prices))
-        {
-            self.cleanup();
-            return Err(e);
-        }
+            .try_for_each(|op| self.exec_op(compiled, op, prices))?;
         self.profile.fusion = compiled.fusion_summary();
 
         // Commit the batch: lane 0 from the primary memory, then each
@@ -471,7 +468,7 @@ impl Replayer {
             .map(|mem| mem.borrow().dump_range(compiled.output.pa, out_len))
             .collect();
         let outs: Vec<Vec<f32>> = raws.iter().map(|raw| f32s(raw)).collect();
-        self.cleanup();
+        drop(hold);
         self.profile.exec = self.device_gpu.borrow().exec_stats().delta_since(&exec0);
         self.profile.total = self.clock.now() - t0;
         let input_digests: Vec<[u8; 32]> = inputs
@@ -522,24 +519,25 @@ impl Replayer {
 
     /// Takes and resets the GPU and scrubs protected memory (§3.2),
     /// injects the real parameters and input into the recorded slots, and
-    /// installs the recording's fusion plan.
+    /// installs the recording's fusion plan. The walk holds the GPU until
+    /// the returned hold drops.
     fn stage<W: AsRef<[f32]>>(
         &mut self,
         compiled: &CompiledRecording,
         input: &[f32],
         weights: &[W],
-    ) {
-        take_gpu(&self.tzasc, &self.monitor);
-        let mut gpu = self.device_gpu.borrow_mut();
-        gpu.hard_reset_now();
-        gpu.set_fusion_plan(compiled.fusion_plan().to_vec());
-        drop(gpu);
+    ) -> GpuHold {
+        let hold = take_gpu(&self.device_gpu, &self.tzasc, &self.monitor);
+        self.device_gpu
+            .borrow_mut()
+            .set_fusion_plan(compiled.fusion_plan().to_vec());
         let mut mem = self.device_mem.borrow_mut();
         mem.wipe();
         for (slot, w) in compiled.weights.iter().zip(weights) {
             mem.restore_range(slot.pa, self.upload.stage(w.as_ref()));
         }
         mem.restore_range(compiled.input.pa, self.upload.stage(input));
+        hold
     }
 
     /// Executes one compiled op, charged at `prices`. No decoding, no
@@ -609,22 +607,14 @@ impl Replayer {
                 if d.parsed.new_len() > len {
                     return Err(ReplayError::CorruptDelta);
                 }
-                {
-                    let mut mem = self.device_mem.borrow_mut();
-                    for (page, xor) in d.parsed.pages() {
-                        mem.xor_range(d.pa + u64::from(page) * grt_gpu::PAGE_SIZE as u64, xor);
-                    }
-                }
+                apply_delta(&mut self.device_mem.borrow_mut(), d.pa, &d.parsed);
                 // Batched replay: metastate evolves identically across
                 // lanes (the delta targets control pages, not per-input
                 // data), so the same XOR lands on every lane the GPU holds.
                 // The time is charged once per batch below — one stream of
                 // pre-parsed pages fans out to all images.
                 for lane in self.device_gpu.borrow().batch_lanes() {
-                    let mut lmem = lane.borrow_mut();
-                    for (page, xor) in d.parsed.pages() {
-                        lmem.xor_range(d.pa + u64::from(page) * grt_gpu::PAGE_SIZE as u64, xor);
-                    }
+                    apply_delta(&mut lane.borrow_mut(), d.pa, &d.parsed);
                 }
                 let time = prices.delta(d);
                 self.clock.advance(time);
@@ -635,16 +625,6 @@ impl Replayer {
             }
         }
         Ok(())
-    }
-
-    /// Detaches any fusion plan and batch lanes and gives the GPU back to
-    /// the normal world.
-    fn cleanup(&mut self) {
-        let mut gpu = self.device_gpu.borrow_mut();
-        gpu.take_fusion_plan();
-        gpu.take_batch_lanes();
-        drop(gpu);
-        give_back_gpu(&self.device_gpu, &self.tzasc, &self.monitor);
     }
 
     /// Begins an incremental, layer-at-a-time replay of a compiled
@@ -666,12 +646,13 @@ impl Replayer {
     ) -> Result<LayeredReplay<'r>, ReplayError> {
         self.check_compiled(compiled, &[input], weights)?;
         self.profile = ReplayProfile::default();
-        self.stage(compiled, input, weights);
+        let hold = self.stage(compiled, input, weights);
         let walk: Box<dyn Iterator<Item = &'r Op> + 'r> = Box::new(compiled.kept_ops());
         Ok(LayeredReplay {
             replayer: self,
             compiled,
             walk: walk.peekable(),
+            hold: Some(hold),
         })
     }
 }
@@ -690,6 +671,8 @@ pub struct LayeredReplay<'r> {
     compiled: &'r CompiledRecording,
     /// The kept ops still to run, in order.
     walk: std::iter::Peekable<Box<dyn Iterator<Item = &'r Op> + 'r>>,
+    /// The GPU, held until the walk fails or the replay drops.
+    hold: Option<GpuHold>,
 }
 
 impl LayeredReplay<'_> {
@@ -718,14 +701,15 @@ impl LayeredReplay<'_> {
             if let Err(e) = self.replayer.exec_op(self.compiled, op, &COMPILED) {
                 // Drain the walk so later calls report completion.
                 for _ in self.walk.by_ref() {}
-                self.replayer.cleanup();
+                self.hold = None;
                 return Err(e);
             }
         }
         Ok(layer)
     }
 
-    /// Reads the output and scrubs hardware state.
+    /// Reads the output, then scrubs hardware state as the replay drops.
+    /// Dropping a replay without `finish` gives the GPU back all the same.
     ///
     /// Valid once [`LayeredReplay::replay_layer`] has returned `None` (or
     /// earlier, for apps that only need a prefix of the network).
@@ -736,7 +720,6 @@ impl LayeredReplay<'_> {
             .device_mem
             .borrow()
             .dump_range(out.pa, out.len_elems as usize * 4);
-        self.replayer.cleanup();
         f32s(&raw)
     }
 }

@@ -17,13 +17,13 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Layering gate: the recording container, the lifter and the analyzer sit
-# below the recorder, the driver, the runtime and the replayer, so the
-# in-TEE gate's build stays small (DESIGN.md §3). Neither grt-ir nor
-# grt-lint may depend, even transitively, on a crate above them.
+# below the recorder, the driver, the runtime, the model zoo and the
+# replayer, so the in-TEE gate's build stays small (DESIGN.md §3). Neither
+# grt-ir nor grt-lint may depend, even transitively, on a crate above them.
 echo "==> dependency direction: grt-ir and grt-lint stay below grt-core"
 for PKG in grt-ir grt-lint; do
     if cargo tree --offline -e normal -p "$PKG" --prefix none |
-        grep -E '^grt-(core|replay|driver|runtime|net|tee|attest|serve) '; then
+        grep -E '^grt-(core|replay|driver|runtime|ml|net|tee|attest|serve) '; then
         echo "ci: $PKG depends on a crate above the lifter (listed above)" >&2
         exit 1
     fi
@@ -40,9 +40,10 @@ if cargo tree --offline -e normal -p grt-replay --prefix none |
     exit 1
 fi
 
-# TCB gate: the production lines of grt-replay's cone may not grow past
+# TCB gate: the production lines of the client TEE as deployed (the union
+# of grt-replay's cone and its gate's, grt-lint) may not grow past
 # scripts/tcb_lines, per crate or in total.
-echo "==> TCB report: grt-replay's cone against scripts/tcb_lines"
+echo "==> TCB report: the deployed client TEE against scripts/tcb_lines"
 sh scripts/tcb_report.sh
 
 echo "==> tier-1 verify: cargo build --release"

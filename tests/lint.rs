@@ -258,6 +258,100 @@ fn r6_shuffled_layer_indices() {
     assert_trips_exactly(&rec, Rule::R6LayerStructure);
 }
 
+/// The spec-aware halves of R4 and R6: MNIST's recording, linted against
+/// every other zoo network's spec and against an MNIST spec with one more
+/// class, is refused with one diagnostic per shape that differs (workload
+/// name, input and output length, parameter lengths in staging order,
+/// layer count), each quoting both sides.
+#[test]
+fn spec_aware_checks_flag_a_recording_linted_against_another_network() {
+    let rec = mnist_recording();
+    let mnist = grt_ml::zoo::mnist();
+    let params = |spec: &grt_ml::NetworkSpec| -> Vec<u32> {
+        grt_ml::reference::workload_weights(spec)
+            .iter()
+            .map(|w| w.len() as u32)
+            .collect()
+    };
+    let mut specs: Vec<_> = grt_ml::zoo::all_benchmarks()
+        .into_iter()
+        .filter(|spec| spec.name != mnist.name)
+        .collect();
+    specs.push(grt_ml::NetworkSpec {
+        output_len: mnist.output_len + 1,
+        ..mnist.clone()
+    });
+    let mut seen = [false; 5];
+    for spec in &specs {
+        let mut expected = Vec::new();
+        let mut expect = |check: usize, rule: &'static str, message: String| {
+            seen[check] = true;
+            expected.push((rule, message));
+        };
+        if spec.name != mnist.name {
+            expect(
+                0,
+                "R4",
+                format!(
+                    "recording is for workload {:?}, spec is {:?}",
+                    mnist.name, spec.name
+                ),
+            );
+        }
+        if spec.input_len != mnist.input_len {
+            expect(
+                1,
+                "R4",
+                format!(
+                    "input slot holds {} elems, spec wants {}",
+                    mnist.input_len, spec.input_len
+                ),
+            );
+        }
+        if spec.output_len != mnist.output_len {
+            expect(
+                2,
+                "R4",
+                format!(
+                    "output slot holds {} elems, spec wants {}",
+                    mnist.output_len, spec.output_len
+                ),
+            );
+        }
+        if params(spec) != params(&mnist) {
+            expect(
+                3,
+                "R4",
+                format!(
+                    "weight slots {:?} do not match the spec's parameter shapes {:?}",
+                    params(&mnist),
+                    params(spec)
+                ),
+            );
+        }
+        if spec.layers.len() != mnist.layers.len() {
+            expect(
+                4,
+                "R6",
+                format!(
+                    "recording has {} layer(s), spec has {}",
+                    mnist.layers.len(),
+                    spec.layers.len()
+                ),
+            );
+        }
+        let report = Linter::new().lint(&rec, &GpuSku::mali_g71_mp8(), Some(spec));
+        let errors: Vec<(&str, String)> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(|d| (d.rule.id(), d.message.clone()))
+            .collect();
+        assert_eq!(errors, expected, "MNIST linted as {}", spec.name);
+    }
+    assert_eq!(seen, [true; 5], "some spec-aware check never fired");
+}
+
 /// R7: displacing the input slot elsewhere in the carveout keeps every
 /// structural rule happy (in-bounds, disjoint, spec-consistent length) but
 /// leaves the first layer's reads uncovered by any definition — the
