@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the hot primitives of the reproduction: the range
 //! coder and delta codec that bound memory-sync throughput, the crypto
 //! sealing every commit, page-table walks, the protected-memory wipe and
-//! lane fork, the symbolic-value machinery, and end-to-end record/replay.
+//! lane fork, the conv kernels scalar and lane-major, the symbolic-value
+//! machinery, and end-to-end record/replay.
 //!
 //! The harness is hand-rolled over `std::time::Instant` (no criterion):
 //! the workspace must build and bench with zero network access, so no
@@ -13,8 +14,9 @@ use grt_compress::{compress, decompress, DeltaCodec};
 use grt_crypto::{SecureChannel, Sha256};
 use grt_driver::{RegVal, SymSlot};
 use grt_gpu::mem::{Accessor, Memory};
-use grt_gpu::mmu::{map_page, AccessKind, PteFlags, Walker};
-use grt_gpu::PAGE_SIZE;
+use grt_gpu::mmu::{map_page, AccessKind, PteFlags, Tlb, Walker};
+use grt_gpu::shader::{execute_program, ExecScratch};
+use grt_gpu::{ConvParams, ShaderOp, PAGE_SIZE};
 use std::time::Instant;
 
 /// Runs `f` `iters` times (after `iters / 10 + 1` warm-up calls) and
@@ -216,6 +218,99 @@ fn bench_mem() {
     bench("mem/clone_96MiB", 50, None, || mem.clone());
 }
 
+/// One ResNet12 block conv (32 channels in and out, 32×32, 3×3, pad 1)
+/// over eight inputs: eight scalar jobs against one job of eight lanes.
+/// Both run the whole job program, translations and copies included.
+fn bench_kernels() {
+    const IN_VA: u64 = 0x1_0000;
+    const W_VA: u64 = 0x4_0000;
+    const B_VA: u64 = 0x5_0000;
+    const OUT_VA: u64 = 0x6_0000;
+    const SHADER_VA: u64 = 0x9_0000;
+    let p = ConvParams {
+        in_c: 32,
+        in_h: 32,
+        in_w: 32,
+        out_c: 32,
+        k: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let op = ShaderOp::Conv2d {
+        in_va: IN_VA,
+        w_va: W_VA,
+        b_va: B_VA,
+        out_va: OUT_VA,
+        p,
+        tiles: 8,
+    };
+    let mut template = Memory::new(1 << 20);
+    let root = 0xC_0000u64;
+    let mut next = root + PAGE_SIZE as u64;
+    let mut alloc = || {
+        let pa = next;
+        next += PAGE_SIZE as u64;
+        pa
+    };
+    for va in (IN_VA..0xA_0000).step_by(PAGE_SIZE) {
+        map_page(&mut template, root, va, va, PteFlags::rwx(), 0, &mut alloc).unwrap();
+    }
+    let walker = Walker {
+        root_pa: root,
+        quirk: 0,
+        asn: 0,
+    };
+    let f32_bytes = |n: usize, seed: u32| -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| ((i.wrapping_mul(2_654_435_761) ^ seed) % 2000) as f32 / 1000.0 - 1.0)
+            .flat_map(f32::to_le_bytes)
+            .collect()
+    };
+    template
+        .write(SHADER_VA, &op.encode(), Accessor::Cpu)
+        .unwrap();
+    let w_elems = (p.out_c * p.in_c * p.k * p.k) as usize;
+    template
+        .write(W_VA, &f32_bytes(w_elems, 1), Accessor::Cpu)
+        .unwrap();
+    template
+        .write(B_VA, &f32_bytes(p.out_c as usize, 2), Accessor::Cpu)
+        .unwrap();
+    let in_elems = (p.in_c * p.in_h * p.in_w) as usize;
+    let mut lanes: Vec<Memory> = (0..8)
+        .map(|lane| {
+            let mut m = template.clone();
+            m.write(IN_VA, &f32_bytes(in_elems, 3 + lane), Accessor::Cpu)
+                .unwrap();
+            m
+        })
+        .collect();
+    let mut tlb = Tlb::new();
+    let mut scratch = ExecScratch::default();
+    let mut run = |mems: &mut [&mut Memory]| {
+        execute_program(
+            mems,
+            &walker,
+            &mut tlb,
+            &mut scratch,
+            SHADER_VA,
+            1,
+            8,
+            None,
+            |_, _, _| {},
+        )
+        .unwrap()
+    };
+    bench("kernels/conv_32x32x32_k3_scalar_x8", 20, None, || {
+        for lane in lanes.iter_mut() {
+            run(&mut [lane]);
+        }
+    });
+    bench("kernels/conv_32x32x32_k3_lanes8", 20, None, || {
+        run(&mut lanes.iter_mut().collect::<Vec<_>>());
+    });
+}
+
 fn bench_symbolic() {
     bench("symbolic/regval_eval", 10_000, None, || {
         let slot = SymSlot::new(1);
@@ -266,6 +361,7 @@ fn main() {
     bench_crypto();
     bench_mmu_walk();
     bench_mem();
+    bench_kernels();
     bench_symbolic();
     bench_inference();
 }

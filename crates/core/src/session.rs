@@ -430,6 +430,34 @@ impl RecordSession {
 
         // --- Client TEE takes the GPU and scrubs all state (§3.2). ------
         self.client.shim.borrow_mut().lock_gpu();
+        let recorded = self.record_locked(spec);
+        // --- Release the GPU back to the normal world, on every exit. ---
+        self.client.shim.borrow_mut().unlock_gpu();
+        let (signed, net) = recorded?;
+
+        let delay = self.clock.now() - t0;
+        Ok(RecordOutcome {
+            recording: signed,
+            delay,
+            blocking_rtts: self.stats.get("net.blocking_rtts") - rtts0,
+            sync_bytes: self.stats.get("sync.down_meta_bytes")
+                + self.stats.get("sync.up_meta_bytes")
+                + self.stats.get("sync.down_data_bytes")
+                + self.stats.get("sync.up_data_bytes")
+                - sync0,
+            energy_j: self.client.energy.total_energy(),
+            checkpoint_resumes: self.stats.get("record.checkpoint_resumes") - resumes0,
+            link_retries: self.stats.get("net.retransmissions") - retx0,
+            net,
+        })
+    }
+
+    /// The part of [`RecordSession::record`] that runs while the client
+    /// TEE holds the GPU: scrub, dry run, sign and download.
+    fn record_locked(
+        &mut self,
+        spec: &NetworkSpec,
+    ) -> Result<(SignedRecording, CompiledNetwork), RecordError> {
         self.client.mem.borrow_mut().wipe();
         self.client.shim.borrow_mut().reset_baselines();
         self.shim.reset_sync_state();
@@ -515,25 +543,7 @@ impl RecordSession {
             self.stats.inc("record.download_retries");
             self.wait_out_link_failure(e);
         }
-
-        // --- Release the GPU back to the normal world. ------------------
-        self.client.shim.borrow_mut().unlock_gpu();
-
-        let delay = self.clock.now() - t0;
-        Ok(RecordOutcome {
-            recording: signed,
-            delay,
-            blocking_rtts: self.stats.get("net.blocking_rtts") - rtts0,
-            sync_bytes: self.stats.get("sync.down_meta_bytes")
-                + self.stats.get("sync.up_meta_bytes")
-                + self.stats.get("sync.down_data_bytes")
-                + self.stats.get("sync.up_data_bytes")
-                - sync0,
-            energy_j: self.client.energy.total_energy(),
-            checkpoint_resumes: self.stats.get("record.checkpoint_resumes") - resumes0,
-            link_retries: self.stats.get("net.retransmissions") - retx0,
-            net,
-        })
+        Ok((signed, net))
     }
 }
 
@@ -602,6 +612,29 @@ mod tests {
         // Normal world was denied nothing yet (no adversary probing), but
         // the TZASC saw the claim/release cycle.
         assert_eq!(s.client.tzasc.range_count(), 0);
+    }
+
+    /// A recording that fails while the TEE holds the GPU still hands it
+    /// back: here every layer attempt after the first 100 ms loses the
+    /// link until `MAX_LAYER_ATTEMPTS` gives up.
+    #[test]
+    fn gpu_is_released_when_record_fails_after_the_lock() {
+        let mut s = RecordSession::new(
+            GpuSku::mali_g71_mp8(),
+            NetConditions::wifi(),
+            RecorderMode::OursMDS,
+        );
+        let plan = grt_sim::FaultPlan::new().with_loss_burst(
+            SimTime::from_millis(100),
+            SimTime::from_secs(3600),
+            1.0,
+        );
+        s.attach_faults(&Rc::new(plan));
+        let err = s.record(&grt_ml::zoo::mnist()).unwrap_err();
+        assert!(matches!(err, RecordError::Link(_)), "{err:?}");
+        // The layer loop, which runs only under the lock, retried.
+        assert!(s.stats.get("record.checkpoint_resumes") > 0);
+        assert!(!s.client.shim.borrow().is_locked());
     }
 
     #[test]

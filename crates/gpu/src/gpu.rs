@@ -18,7 +18,7 @@ use crate::shader::{
 };
 use crate::sku::GpuSku;
 use grt_sim::{Clock, SimTime};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 
 /// Virtual duration of a soft/hard reset.
@@ -291,8 +291,9 @@ pub struct Gpu {
     /// (page tables, descriptors, metastate) is byte-identical to the
     /// primary memory and whose data pages hold a different inference
     /// input each. While attached, every job descriptor's shader program
-    /// re-executes once per lane against the lane's memory: descriptor
-    /// fetch, page walks, and batch-resident operand reads
+    /// runs on the primary and each lane in one `execute_program` call,
+    /// convs lane-major (DESIGN.md §14): descriptor fetch, page walks, and
+    /// batch-resident operand reads
     /// ([`crate::shader::ExecReport::resident_elems`]) are paid once per
     /// batch, marginal lanes pay only their data streaming cost. Empty in
     /// scalar operation.
@@ -925,16 +926,22 @@ impl Gpu {
         };
 
         let mem_rc = Rc::clone(&self.mem);
-        let mut mem = mem_rc.borrow_mut();
-        // Detach batch lanes for the duration of the chain so the lane loop
-        // below can run while `self` is mutably borrowed for TLB/stat
-        // bookkeeping. Restored before `finish_job`.
+        // Detach batch lanes for the duration of the chain so the program
+        // runs below can borrow them while `self` is mutably borrowed for
+        // TLB/stat bookkeeping. Restored before `finish_job`.
         let lanes = std::mem::take(&mut self.batch_lanes);
+        // The primary memory first, then each lane: every descriptor's
+        // program runs once over all of them.
+        let mut mems: Vec<RefMut<'_, Memory>> = std::iter::once(&mem_rc)
+            .chain(&lanes)
+            .map(|m| m.borrow_mut())
+            .collect();
+        let mut ran: Vec<ExecReport> = Vec::with_capacity(mems.len());
         let mut total = JOB_BASE_TIME;
         let mut va = head;
         let mut status = jc::JS_STATUS_DONE;
         let mut hops = 0;
-        'chain: while va != 0 {
+        while va != 0 {
             hops += 1;
             if hops > 1024 {
                 status = jc::JS_STATUS_BAD_DESCRIPTOR;
@@ -950,7 +957,7 @@ impl Gpu {
             // A changed translation root or an overflowed log still
             // flushes; GPU stores are caught by `note_store` at the
             // store site.
-            let (cpu_writes, overflowed) = mem.take_cpu_writes();
+            let (cpu_writes, overflowed) = mems[0].take_cpu_writes();
             if overflowed || self.tlb_root != Some(walker.root_pa) {
                 self.tlb.invalidate_all();
                 self.tlb_root = Some(walker.root_pa);
@@ -959,18 +966,19 @@ impl Gpu {
                     self.tlb.note_store(start, (end - start) as usize);
                 }
             }
-            let desc = match JobDescriptor::read_via_mmu_cached(&mem, &walker, &mut self.tlb, va) {
-                Ok(Some(d)) => d,
-                Ok(None) => {
-                    status = jc::JS_STATUS_BAD_DESCRIPTOR;
-                    break;
-                }
-                Err(fault) => {
-                    self.raise_mmu_fault(asn, va, &fault);
-                    status = jc::JS_STATUS_JOB_BUS_FAULT;
-                    break;
-                }
-            };
+            let desc =
+                match JobDescriptor::read_via_mmu_cached(&mems[0], &walker, &mut self.tlb, va) {
+                    Ok(Some(d)) => d,
+                    Ok(None) => {
+                        status = jc::JS_STATUS_BAD_DESCRIPTOR;
+                        break;
+                    }
+                    Err(fault) => {
+                        self.raise_mmu_fault(asn, va, &fault);
+                        status = jc::JS_STATUS_JOB_BUS_FAULT;
+                        break;
+                    }
+                };
             // Fused lowering: a directive keyed by this descriptor's VA
             // makes its (single) instruction execute as a superinstruction
             // with tails applied in scratch. The absorbed tail jobs'
@@ -986,10 +994,14 @@ impl Gpu {
                     .as_ref()
                     .map_or(0, |d| u32::try_from(d.extra_cost_us).unwrap_or(u32::MAX)),
             );
-            // Walks during this descriptor's execution = TLB-miss delta.
-            let misses_before = self.tlb.stats().misses;
-            match execute_program(
-                &mut mem,
+            // Batched replay: control state (descriptor, page tables) is
+            // byte-identical across lanes, so the descriptor fetched above
+            // serves every lane and cached translations stay valid; only
+            // data pages differ. Each lane writes its own status word
+            // right after its run, before the next lane starts.
+            ran.clear();
+            let outcome = execute_program(
+                &mut mems,
                 &walker,
                 &mut self.tlb,
                 &mut self.scratch,
@@ -997,105 +1009,44 @@ impl Gpu {
                 desc.n_instrs,
                 self.sku.shader_cores,
                 fused.as_ref(),
-            ) {
-                Ok(rep) => {
-                    self.macs_executed += rep.macs;
-                    self.jobs_done += 1;
-                    self.exec_element_accesses += rep.element_accesses;
-                    self.exec_bulk_runs += rep.bulk_runs;
-                    self.exec_alias_runs += rep.alias_runs;
-                    self.exec_alias_elems += rep.alias_elems;
-                    let walks = self.tlb.stats().misses - misses_before;
-                    let charged = (rep.element_accesses - rep.copy_elems + rep.copy_runs)
-                        .saturating_sub(rep.alias_runs);
-                    let dur = job_exec_time(cost_us, rep.element_accesses, charged, walks);
-                    self.accumulate_per_kind(&rep, dur.as_nanos());
-                    total += dur;
-                    let _ = JobDescriptor::write_status_via_mmu_cached(
-                        &mut mem,
-                        &walker,
-                        &mut self.tlb,
-                        va,
-                        JobStatus::Done,
-                    );
-                    // Batched replay: re-execute this descriptor's shader
-                    // program against every attached lane. Control state
-                    // (descriptor, page tables) is byte-identical across
-                    // lanes, so the descriptor fetched above is reused and
-                    // cached translations stay valid; only data pages
-                    // differ. Marginal lanes are charged their streamed
-                    // data accesses — batch-resident operands (weights,
-                    // biases, instruction fetches) and the run-granular
-                    // copy footprint are fetched once per batch and
-                    // subtracted from the charge.
-                    for lane in &lanes {
-                        let mut lmem = lane.borrow_mut();
-                        let lane_misses = self.tlb.stats().misses;
-                        match execute_program(
-                            &mut lmem,
-                            &walker,
-                            &mut self.tlb,
-                            &mut self.scratch,
-                            desc.shader_va,
-                            desc.n_instrs,
-                            self.sku.shader_cores,
-                            fused.as_ref(),
-                        ) {
-                            Ok(lrep) => {
-                                self.macs_executed += lrep.macs;
-                                self.jobs_done += 1;
-                                self.exec_element_accesses += lrep.element_accesses;
-                                self.exec_bulk_runs += lrep.bulk_runs;
-                                self.exec_alias_runs += lrep.alias_runs;
-                                self.exec_alias_elems += lrep.alias_elems;
-                                let lwalks = self.tlb.stats().misses - lane_misses;
-                                let lcharged = (lrep.element_accesses - lrep.copy_elems
-                                    + lrep.copy_runs)
-                                    .saturating_sub(lrep.alias_runs)
-                                    .saturating_sub(lrep.resident_elems);
-                                let ldur =
-                                    job_exec_time(cost_us, lrep.element_accesses, lcharged, lwalks);
-                                self.accumulate_per_kind(&lrep, ldur.as_nanos());
-                                total += ldur;
-                                let _ = JobDescriptor::write_status_via_mmu_cached(
-                                    &mut lmem,
-                                    &walker,
-                                    &mut self.tlb,
-                                    va,
-                                    JobStatus::Done,
-                                );
-                            }
-                            Err(ShaderFault::TileMismatch { .. } | ShaderFault::FusionMismatch) => {
-                                let _ = JobDescriptor::write_status_via_mmu_cached(
-                                    &mut lmem,
-                                    &walker,
-                                    &mut self.tlb,
-                                    va,
-                                    JobStatus::Fault(jc::JS_STATUS_CONFIG_FAULT),
-                                );
-                                status = jc::JS_STATUS_CONFIG_FAULT;
-                                break 'chain;
-                            }
-                            Err(ShaderFault::BadInstruction) => {
-                                status = jc::JS_STATUS_BAD_DESCRIPTOR;
-                                break 'chain;
-                            }
-                            Err(ShaderFault::Mmu(fault)) => {
-                                self.raise_mmu_fault(asn, desc.shader_va, &fault);
-                                status = jc::JS_STATUS_JOB_BUS_FAULT;
-                                break 'chain;
-                            }
+                |mem, tlb, res| {
+                    let job_status = match res {
+                        Ok(rep) => {
+                            ran.push(*rep);
+                            JobStatus::Done
                         }
-                    }
-                }
-                Err(ShaderFault::TileMismatch { .. } | ShaderFault::FusionMismatch) => {
+                        Err(ShaderFault::TileMismatch { .. } | ShaderFault::FusionMismatch) => {
+                            JobStatus::Fault(jc::JS_STATUS_CONFIG_FAULT)
+                        }
+                        Err(ShaderFault::BadInstruction | ShaderFault::Mmu(_)) => return,
+                    };
                     let _ = JobDescriptor::write_status_via_mmu_cached(
-                        &mut mem,
-                        &walker,
-                        &mut self.tlb,
-                        va,
-                        JobStatus::Fault(jc::JS_STATUS_CONFIG_FAULT),
+                        mem, &walker, tlb, va, job_status,
                     );
+                },
+            );
+            for (lane, rep) in ran.iter().enumerate() {
+                self.macs_executed += rep.macs;
+                self.jobs_done += 1;
+                self.exec_element_accesses += rep.element_accesses;
+                self.exec_bulk_runs += rep.bulk_runs;
+                self.exec_alias_runs += rep.alias_runs;
+                self.exec_alias_elems += rep.alias_elems;
+                // Marginal lanes are charged their streamed data accesses:
+                // batch-resident operands (weights, biases, instruction
+                // fetches) and the run-granular copy footprint are fetched
+                // once per batch, by the primary.
+                let resident = if lane == 0 { 0 } else { rep.resident_elems };
+                let charged = (rep.element_accesses - rep.copy_elems + rep.copy_runs)
+                    .saturating_sub(rep.alias_runs)
+                    .saturating_sub(resident);
+                let dur = job_exec_time(cost_us, rep.element_accesses, charged, rep.walks);
+                self.accumulate_per_kind(rep, dur.as_nanos());
+                total += dur;
+            }
+            match outcome {
+                Ok(()) => {}
+                Err(ShaderFault::TileMismatch { .. } | ShaderFault::FusionMismatch) => {
                     status = jc::JS_STATUS_CONFIG_FAULT;
                     break;
                 }
@@ -1111,7 +1062,7 @@ impl Gpu {
             }
             va = desc.next_va;
         }
-        drop(mem);
+        drop(mems);
         self.batch_lanes = lanes;
         self.finish_job(slot, now + total, status);
     }

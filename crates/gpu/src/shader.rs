@@ -14,6 +14,7 @@
 use crate::fusion::FusedDirective;
 use crate::mem::Memory;
 use crate::mmu::{AccessKind, MmuFault, Tlb, Walker};
+use std::ops::{Deref, DerefMut};
 
 /// Size of one encoded instruction record.
 pub const INSTR_SIZE: usize = 64;
@@ -599,6 +600,8 @@ pub struct ExecReport {
     pub alias_runs: u64,
     /// Elements covered by aliased (zero-copy) runs.
     pub alias_elems: u64,
+    /// TLB misses, each a full table walk, taken while the program ran.
+    pub walks: u64,
     /// Per-kind breakdown (indexed by [`OpKind::index`]).
     pub per_kind: [OpKindStats; OP_KIND_COUNT],
 }
@@ -614,6 +617,7 @@ impl ExecReport {
         self.resident_elems += other.resident_elems;
         self.alias_runs += other.alias_runs;
         self.alias_elems += other.alias_elems;
+        self.walks += other.walks;
         for (a, b) in self.per_kind.iter_mut().zip(other.per_kind.iter()) {
             a.events += b.events;
             a.macs += b.macs;
@@ -638,6 +642,61 @@ pub struct ExecScratch {
     out: Vec<f32>,
     /// The non-intermediate operand of a fused `add` tail.
     tail: Vec<f32>,
+    /// A chunk's conv inputs, lane-major: `[ic][iy][ix][lane]`, `LANES`
+    /// wide, unused lanes zero.
+    lane_in: Vec<f32>,
+    /// The chunk's conv outputs, lane-major: `[oc][oy][ox][lane]`.
+    lane_out: Vec<f32>,
+    /// The weights and bias the chunk's conv was computed with.
+    lane_w: Vec<f32>,
+    lane_bias: Vec<f32>,
+    /// The conv `lane_out` holds.
+    lane_conv: Option<ShaderOp>,
+    /// The running lane's chunk slot, until its first conv head.
+    lane_slot: Option<usize>,
+    /// The TLB `conv_ahead` reads through, apart from the job's.
+    ahead_tlb: Tlb,
+}
+
+impl ExecScratch {
+    /// Takes the running lane's conv output from the chunk's lane-major
+    /// pass into `out`, if that pass computed `op` in this lane's slot
+    /// from operands bit-equal to the ones just read into `a`, `b` and
+    /// `bias`. Otherwise the caller runs the scalar kernel. Comparing the
+    /// bits, not trusting that lanes share weights or that the pass read
+    /// what this lane's own translations reach, is what makes the slot
+    /// sound to use.
+    fn take_lane_out(&mut self, op: &ShaderOp) -> bool {
+        let (Some(slot), Some(lane_op)) = (self.lane_slot.take(), &self.lane_conv) else {
+            return false;
+        };
+        let ShaderOp::Conv2d { b_va, .. } = *op else {
+            return false;
+        };
+        let same = |x: &[f32], y: &[f32]| {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if lane_op != op
+            || !same(&self.b, &self.lane_w)
+            || (b_va != 0 && !same(&self.bias, &self.lane_bias))
+            || !self
+                .a
+                .iter()
+                .zip(lane(&self.lane_in, slot))
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+        {
+            return false;
+        }
+        for (o, &v) in self.out.iter_mut().zip(lane(&self.lane_out, slot)) {
+            *o = v;
+        }
+        true
+    }
+}
+
+/// One lane's elements of a lane-major buffer.
+fn lane(v: &[f32], slot: usize) -> impl Iterator<Item = &f32> {
+    v[slot..].iter().step_by(LANES)
 }
 
 /// Reads `n` f32 elements at `va` through the TLB'd page-run path into
@@ -807,19 +866,160 @@ fn fetch_record(
     Ok(rec)
 }
 
-/// Executes a shader program of `n_instrs` records at `shader_va`.
+/// Lanes one pass of the lane-major conv kernel computes. A batch runs in
+/// chunks of this many lanes; a chunk of fewer pads the rest with zeros.
+pub const LANES: usize = 8;
+
+/// Executes a shader program of `n_instrs` records at `shader_va` once
+/// for each memory in `mems`: the primary memory first, then each batch
+/// lane. A scalar job passes one memory.
 ///
 /// `present_cores` is the executing SKU's core count; tiled kernels
 /// compiled for another count fault. Translations go through `tlb` (the
 /// GPU flushes it at job boundaries); tensors are staged in `scratch`.
-/// Returns the execution report (MACs, access counters, per-kind stats).
 ///
 /// When `fused` carries a directive, the program must be the single head
 /// instruction of a fused chain: its tails are applied to the output while
 /// it sits in scratch (`execute_fused`), and any disagreement between
 /// directive and instruction faults with [`ShaderFault::FusionMismatch`].
+///
+/// Lanes run one after another, each through every translation, read,
+/// write and `Tlb::note_store` a scalar run makes, and `lane_done` sees
+/// each lane's execution report (MACs, access counters, walks, per-kind
+/// stats) or fault before the next lane starts. The first fault ends the
+/// call and is returned. Only a conv head's arithmetic is shared: before a
+/// chunk of up to [`LANES`] lanes runs, `conv_ahead` computes the chunk's
+/// first conv for all of them in one lane-major pass, and each lane takes
+/// its output from that pass when the operands it reads equal the ones
+/// the pass used, bit for bit (`ExecScratch::take_lane_out`).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_program(
+pub fn execute_program<M: DerefMut<Target = Memory>>(
+    mems: &mut [M],
+    walker: &Walker,
+    tlb: &mut Tlb,
+    scratch: &mut ExecScratch,
+    shader_va: u64,
+    n_instrs: u32,
+    present_cores: u32,
+    fused: Option<&FusedDirective>,
+    mut lane_done: impl FnMut(&mut Memory, &mut Tlb, &Result<ExecReport, ShaderFault>),
+) -> Result<(), ShaderFault> {
+    let n = mems.len();
+    for start in (0..n).step_by(LANES) {
+        let chunk = &mut mems[start..(start + LANES).min(n)];
+        conv_ahead(chunk, walker, scratch, shader_va);
+        for (slot, mem) in chunk.iter_mut().enumerate() {
+            scratch.lane_slot = Some(slot);
+            let misses = tlb.stats().misses;
+            let res = run_program(
+                mem,
+                walker,
+                tlb,
+                scratch,
+                shader_va,
+                n_instrs,
+                present_cores,
+                fused,
+            )
+            .map(|rep| ExecReport {
+                walks: tlb.stats().misses - misses,
+                ..rep
+            });
+            scratch.lane_slot = None;
+            lane_done(mem, tlb, &res);
+            res?;
+        }
+    }
+    Ok(())
+}
+
+/// Computes the conv that opens a chunk's program once for all its lanes,
+/// before any of them runs, into `scratch.lane_out`.
+///
+/// The chunk's first lane leads: its instruction, weights and bias are
+/// broadcast, and each lane's own input fills its slot (a slot whose input
+/// faults stays zero). The reads go through a TLB of their own, flushed
+/// for each lane, and a throwaway report, so the job's TLB and counters
+/// see nothing here and the chunk's translations still happen lane by
+/// lane when the lanes run. Whether a lane may use its slot is decided
+/// then, by `ExecScratch::take_lane_out`. A chunk of one lane is left to
+/// the scalar kernel.
+fn conv_ahead<M: Deref<Target = Memory>>(
+    chunk: &[M],
+    w: &Walker,
+    scratch: &mut ExecScratch,
+    shader_va: u64,
+) {
+    scratch.lane_conv = None;
+    let [lead, _, ..] = chunk else {
+        return;
+    };
+    let (tlb, rep) = (&mut scratch.ahead_tlb, &mut ExecReport::default());
+    tlb.invalidate_all();
+    let Some(
+        op @ ShaderOp::Conv2d {
+            in_va,
+            w_va,
+            b_va,
+            p,
+            ..
+        },
+    ) = fetch_record(lead, w, tlb, rep, shader_va)
+        .ok()
+        .and_then(|rec| ShaderOp::decode(&rec))
+    else {
+        return;
+    };
+    let w_elems = (p.out_c * p.in_c * p.k * p.k) as usize;
+    if read_f32s_bulk(lead, w, tlb, rep, w_va, w_elems, &mut scratch.lane_w).is_err()
+        || (b_va != 0
+            && read_f32s_bulk(
+                lead,
+                w,
+                tlb,
+                rep,
+                b_va,
+                p.out_c as usize,
+                &mut scratch.lane_bias,
+            )
+            .is_err())
+    {
+        return;
+    }
+    let in_elems = (p.in_c * p.in_h * p.in_w) as usize;
+    scratch.lane_in.clear();
+    scratch.lane_in.resize(in_elems * LANES, 0.0);
+    for (slot, mem) in chunk.iter().enumerate() {
+        tlb.invalidate_all();
+        if read_f32s_bulk(mem, w, tlb, rep, in_va, in_elems, &mut scratch.a).is_ok() {
+            for (dst, &v) in scratch.lane_in[slot..]
+                .iter_mut()
+                .step_by(LANES)
+                .zip(&scratch.a)
+            {
+                *dst = v;
+            }
+        }
+    }
+    scratch.lane_out.clear();
+    scratch
+        .lane_out
+        .resize((p.out_c * p.out_h() * p.out_w()) as usize * LANES, 0.0);
+    let bias = (b_va != 0).then_some(scratch.lane_bias.as_slice());
+    conv2d_blocked::<LANES>(
+        &scratch.lane_in,
+        &scratch.lane_w,
+        bias,
+        &mut scratch.lane_out,
+        &p,
+    );
+    scratch.lane_conv = Some(op);
+}
+
+/// Runs a program against one memory: the scalar body of
+/// [`execute_program`]. Returns the execution report.
+#[allow(clippy::too_many_arguments)]
+fn run_program(
     mem: &mut Memory,
     walker: &Walker,
     tlb: &mut Tlb,
@@ -918,14 +1118,19 @@ fn kernel_range(o: usize, k: usize, stride: usize, pad: usize, in_dim: usize) ->
     (lo, hi.max(lo))
 }
 
-/// Blocked conv kernel with hoisted bounds checks.
+/// Blocked conv kernel with hoisted bounds checks, run on `L` inputs at
+/// once that share one set of weights and bias: `L = 1` is the scalar
+/// kernel, `L = LANES` the lane-major one.
 ///
-/// Bit-identical to the scalar reference: per output element the
-/// accumulator starts at the bias and adds contributions in ic → ky → kx
-/// order; the hoisted `kernel_range` skips exactly the out-of-bounds
-/// terms the scalar loop `continue`d past (which contribute nothing), so
-/// the FP addition sequence is unchanged.
-fn conv2d_blocked(
+/// `input` is `[ic][iy][ix][lane]` and `out` is `[oc][oy][ox][lane]`,
+/// which for `L = 1` is plain CHW. The innermost loop runs over lanes, so
+/// each weight is loaded once for all of them and each lane keeps its own
+/// accumulator chain. Bit-identical to the scalar reference on every
+/// lane: per output element the accumulator starts at the bias and adds
+/// `input * weight` in ic → ky → kx order; the hoisted `kernel_range`
+/// skips exactly the out-of-bounds terms the scalar loop `continue`d past
+/// (which contribute nothing), so the FP addition sequence is unchanged.
+fn conv2d_blocked<const L: usize>(
     input: &[f32],
     weights: &[f32],
     bias: Option<&[f32]>,
@@ -944,27 +1149,30 @@ fn conv2d_blocked(
     for oc in 0..oc_n {
         let w_oc = &weights[oc * ic_n * k * k..(oc + 1) * ic_n * k * k];
         let b0 = bias.map_or(0.0, |b| b[oc]);
-        let out_oc = &mut out[oc * oh * ow..(oc + 1) * oh * ow];
+        let out_oc = &mut out[oc * oh * ow * L..(oc + 1) * oh * ow * L];
         for oy in 0..oh {
             let (ky_lo, ky_hi) = kernel_range(oy, k, s, pad, ih);
             let iy_base = oy as i64 * s as i64 - pad as i64;
-            let row = &mut out_oc[oy * ow..(oy + 1) * ow];
+            let row = &mut out_oc[oy * ow * L..(oy + 1) * ow * L];
             let mut px = |ox: usize, kx_lo: usize, kx_hi: usize| {
                 let ix_base = (ox * s) as i64 - pad as i64;
-                let mut acc = b0;
+                let mut acc = [b0; L];
                 for ic in 0..ic_n {
-                    let in_ch = &input[ic * ih * iw..(ic + 1) * ih * iw];
+                    let in_ch = &input[ic * ih * iw * L..(ic + 1) * ih * iw * L];
                     let w_ic = &w_oc[ic * k * k..(ic + 1) * k * k];
                     for ky in ky_lo..ky_hi {
                         let iy = (iy_base + ky as i64) as usize;
-                        let in_row = &in_ch[iy * iw..(iy + 1) * iw];
+                        let in_row = &in_ch[iy * iw * L..(iy + 1) * iw * L];
                         let w_row = &w_ic[ky * k..(ky + 1) * k];
-                        for kx in kx_lo..kx_hi {
-                            acc += in_row[(ix_base + kx as i64) as usize] * w_row[kx];
+                        for (kx, &wv) in (kx_lo..kx_hi).zip(&w_row[kx_lo..kx_hi]) {
+                            let ix = (ix_base + kx as i64) as usize;
+                            for (a, &v) in acc.iter_mut().zip(&in_row[ix * L..(ix + 1) * L]) {
+                                *a += v * wv;
+                            }
                         }
                     }
                 }
-                row[ox] = acc;
+                row[ox * L..(ox + 1) * L].copy_from_slice(&acc);
             };
             // Left border: clamped kx ranges, computed per pixel.
             for ox in 0..ox_lo {
@@ -1066,17 +1274,17 @@ fn stage_head_kernel(
             rep.resident_elems += w_elems as u64;
             // No allocation when the op carries no bias: the kernel seeds
             // the accumulator with 0.0 directly.
-            let bias = if b_va != 0 {
+            if b_va != 0 {
                 read_f32s_bulk(mem, w, tlb, rep, b_va, p.out_c as usize, &mut scratch.bias)?;
                 rep.resident_elems += p.out_c as u64;
-                Some(scratch.bias.as_slice())
-            } else {
-                None
-            };
+            }
             let (oh, ow) = (p.out_h() as usize, p.out_w() as usize);
             scratch.out.clear();
             scratch.out.resize(p.out_c as usize * oh * ow, 0.0);
-            conv2d_blocked(&scratch.a, &scratch.b, bias, &mut scratch.out, &p);
+            if !scratch.take_lane_out(op) {
+                let bias = (b_va != 0).then_some(scratch.bias.as_slice());
+                conv2d_blocked::<1>(&scratch.a, &scratch.b, bias, &mut scratch.out, &p);
+            }
             Ok(out_va)
         }
         ShaderOp::MatMul {
@@ -1123,16 +1331,23 @@ fn stage_head_kernel(
         } => {
             read_f32s_bulk(mem, w, tlb, rep, a_va, len as usize, &mut scratch.a)?;
             read_f32s_bulk(mem, w, tlb, rep, b_va, len as usize, &mut scratch.b)?;
-            scratch.out.clear();
-            scratch
-                .out
-                .extend(scratch.a.iter().zip(&scratch.b).map(|(x, y)| x + y));
+            add_elementwise(&scratch.a, &scratch.b, &mut scratch.out);
             Ok(out_va)
         }
         // Only reachable through a corrupt fusion plan: non-fusable ops
         // never take this path from `execute_op`.
         _ => Err(ShaderFault::FusionMismatch),
     }
+}
+
+/// `out[i] = a[i] + b[i]`, for the unfused `Add` kernel and the fused add
+/// tail alike. Which input NaN payload an add passes on can depend on the
+/// operand order the compiler picks for a given loop, so both callers run
+/// this one out-of-line copy: a fused add returns the unfused add's bits.
+#[inline(never)]
+fn add_elementwise(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(a.iter().zip(b).map(|(x, y)| x + y));
 }
 
 /// Executes the head instruction of a fused chain and applies its tails
@@ -1174,18 +1389,16 @@ fn execute_fused(
             t.len as usize,
             &mut scratch.tail,
         )?;
-        if t.interm_first {
-            for (o, &y) in scratch.out.iter_mut().zip(&scratch.tail) {
-                *o += y;
-            }
+        // Operand order must match the unfused Add kernel's `a + b`, and
+        // so must the instructions: both go through `add_elementwise`.
+        // The head's input in `scratch.a` is spent, so it takes the sum.
+        let (a, b) = if t.interm_first {
+            (&scratch.out, &scratch.tail)
         } else {
-            // Operand order must match the unfused Add kernel's `a + b`
-            // (NaN payload selection is order-sensitive), so no `+=` here.
-            #[allow(clippy::assign_op_pattern)]
-            for (o, &x) in scratch.out.iter_mut().zip(&scratch.tail) {
-                *o = x + *o;
-            }
-        }
+            (&scratch.tail, &scratch.out)
+        };
+        add_elementwise(a, b, &mut scratch.a);
+        std::mem::swap(&mut scratch.out, &mut scratch.a);
     }
     if d.tail_relu {
         for o in &mut scratch.out {
@@ -1326,116 +1539,9 @@ fn execute_op(
     Ok(())
 }
 
-/// The original unblocked element-at-a-time kernels, kept verbatim as the
-/// bit-exactness oracle for the fast path: property tests pin every fast
-/// kernel to these, bit for bit, across the zoo networks and randomized
-/// geometries.
-pub mod reference {
-    use super::{ConvParams, PoolKind};
-
-    /// Scalar 2-D convolution + bias (the pre-fast-path loop, verbatim).
-    pub fn conv2d(input: &[f32], weights: &[f32], bias: &[f32], p: &ConvParams) -> Vec<f32> {
-        let (oh, ow) = (p.out_h() as usize, p.out_w() as usize);
-        let mut out = vec![0.0f32; p.out_c as usize * oh * ow];
-        for oc in 0..p.out_c as usize {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bias[oc];
-                    for ic in 0..p.in_c as usize {
-                        for ky in 0..p.k as usize {
-                            for kx in 0..p.k as usize {
-                                let iy = oy as i64 * p.stride as i64 + ky as i64 - p.pad as i64;
-                                let ix = ox as i64 * p.stride as i64 + kx as i64 - p.pad as i64;
-                                if iy < 0 || ix < 0 || iy >= p.in_h as i64 || ix >= p.in_w as i64 {
-                                    continue;
-                                }
-                                let iv = input[ic * (p.in_h * p.in_w) as usize
-                                    + iy as usize * p.in_w as usize
-                                    + ix as usize];
-                                let wv = weights[oc * (p.in_c * p.k * p.k) as usize
-                                    + ic * (p.k * p.k) as usize
-                                    + ky * p.k as usize
-                                    + kx];
-                                acc += iv * wv;
-                            }
-                        }
-                    }
-                    out[oc * oh * ow + oy * ow + ox] = acc;
-                }
-            }
-        }
-        out
-    }
-
-    /// Scalar dense matmul + bias (j-inner loop, verbatim).
-    pub fn matmul(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = bias[j];
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// Scalar pooling computing both max and sum per window (verbatim).
-    #[allow(clippy::too_many_arguments)]
-    pub fn pool(
-        input: &[f32],
-        kind: PoolKind,
-        c: usize,
-        h: usize,
-        w: usize,
-        k: usize,
-        stride: usize,
-    ) -> Vec<f32> {
-        let oh = (h - k) / stride + 1;
-        let ow = (w - k) / stride + 1;
-        let mut out = vec![0.0f32; c * oh * ow];
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut sum = 0.0f32;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let v = input[ch * h * w + (oy * stride + ky) * w + ox * stride + kx];
-                            best = best.max(v);
-                            sum += v;
-                        }
-                    }
-                    out[ch * oh * ow + oy * ow + ox] = match kind {
-                        PoolKind::Max => best,
-                        PoolKind::Avg => sum / (k * k) as f32,
-                    };
-                }
-            }
-        }
-        out
-    }
-
-    /// Scalar ReLU.
-    pub fn relu(x: &[f32]) -> Vec<f32> {
-        x.iter().map(|&v| v.max(0.0)).collect()
-    }
-
-    /// Scalar elementwise add.
-    pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-        a.iter().zip(b).map(|(x, y)| x + y).collect()
-    }
-
-    /// Scalar softmax (max-subtracted, verbatim).
-    pub fn softmax(x: &[f32]) -> Vec<f32> {
-        let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = x.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        exps.iter().map(|&e| e / sum).collect()
-    }
-}
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1449,6 +1555,31 @@ mod tests {
         let mut scratch = ExecScratch::default();
         let mut rep = ExecReport::default();
         execute_op(mem, w, &mut tlb, &mut scratch, op, cores, &mut rep)
+    }
+
+    /// Runs a one-instruction program against one memory, as a scalar
+    /// job does, and returns its report or fault.
+    fn run_one(
+        mem: &mut Memory,
+        w: &Walker,
+        tlb: &mut Tlb,
+        scratch: &mut ExecScratch,
+        shader_va: u64,
+        fused: Option<&FusedDirective>,
+    ) -> Result<ExecReport, ShaderFault> {
+        let mut out = Err(ShaderFault::BadInstruction);
+        let _ = execute_program(
+            &mut [mem],
+            w,
+            tlb,
+            scratch,
+            shader_va,
+            1,
+            8,
+            fused,
+            |_, _, r| out = *r,
+        );
+        out
     }
 
     /// Deterministic pseudo-random f32 stream in roughly [-2, 2).
@@ -1897,8 +2028,7 @@ mod tests {
         }
         let mut tlb = Tlb::new();
         let mut scratch = ExecScratch::default();
-        let rep =
-            execute_program(&mut mem, &w, &mut tlb, &mut scratch, shader_va, 1, 8, None).unwrap();
+        let rep = run_one(&mut mem, &w, &mut tlb, &mut scratch, shader_va, None).unwrap();
         assert_eq!(rep.macs, 2);
         assert_eq!(rep.per_kind[OpKind::Copy.index()].events, 1);
         assert_eq!(rep.per_kind[OpKind::Conv2d.index()].events, 0);
@@ -1975,14 +2105,123 @@ mod tests {
             let input = fill((in_c * in_h * in_w) as usize, &mut rng);
             let weights = fill((out_c * in_c * k * k) as usize, &mut rng);
             let bias = fill(out_c as usize, &mut rng);
-            let mut fast = vec![0.0; (out_c * p.out_h() * p.out_w()) as usize];
-            conv2d_blocked(&input, &weights, Some(&bias), &mut fast, &p);
+            let out_len = (out_c * p.out_h() * p.out_w()) as usize;
+            let mut fast = vec![0.0; out_len];
+            conv2d_blocked::<1>(&input, &weights, Some(&bias), &mut fast, &p);
             assert_eq!(
                 bits(&fast),
                 bits(&reference::conv2d(&input, &weights, &bias, &p)),
                 "conv {p:?}"
             );
+            // The lane-major instance on LANES different inputs: every
+            // lane equals the reference conv of its own input.
+            let inputs: Vec<Vec<f32>> = (0..LANES).map(|_| fill(input.len(), &mut rng)).collect();
+            let mut lane_in = vec![0.0; input.len() * LANES];
+            for (l, x) in inputs.iter().enumerate() {
+                for (i, &v) in x.iter().enumerate() {
+                    lane_in[i * LANES + l] = v;
+                }
+            }
+            let mut lanes_out = vec![0.0; out_len * LANES];
+            conv2d_blocked::<LANES>(&lane_in, &weights, Some(&bias), &mut lanes_out, &p);
+            for (l, x) in inputs.iter().enumerate() {
+                let got: Vec<f32> = lane(&lanes_out, l).copied().collect();
+                assert_eq!(
+                    bits(&got),
+                    bits(&reference::conv2d(x, &weights, &bias, &p)),
+                    "conv {p:?} lane {l}"
+                );
+            }
         }
+    }
+
+    /// A lane whose weight or bias bytes differ from the leading lane's
+    /// gets none of the leader's: it runs the scalar kernel on its own
+    /// operands, and every lane matches its own scalar execution.
+    #[test]
+    fn lane_with_other_weights_matches_its_scalar_run() {
+        let (base, w) = setup_mapped(10);
+        let (shader_va, in_va, w_va, b_va, out_va) = (0x1000, 0x2000, 0x4000, 0x6000, 0x7000);
+        let p = ConvParams {
+            in_c: 3,
+            in_h: 6,
+            in_w: 7,
+            out_c: 4,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let op = ShaderOp::Conv2d {
+            in_va,
+            w_va,
+            b_va,
+            out_va,
+            p,
+            tiles: 8,
+        };
+        let mut rng = lcg(5);
+        let weights = fill((p.out_c * p.in_c * p.k * p.k) as usize, &mut rng);
+        let bias = fill(p.out_c as usize, &mut rng);
+        let mut lanes: Vec<Memory> = (0..5)
+            .map(|_| {
+                let mut m = base.clone();
+                write_program(&mut m, &w, shader_va, &op);
+                write_f32s(
+                    &mut m,
+                    &w,
+                    in_va,
+                    &fill((p.in_c * p.in_h * p.in_w) as usize, &mut rng),
+                );
+                write_f32s(&mut m, &w, w_va, &weights);
+                write_f32s(&mut m, &w, b_va, &bias);
+                m
+            })
+            .collect();
+        // Lane 2's weights and lane 4's bias differ by one element each.
+        let mut other_w = weights.clone();
+        other_w[5] = -other_w[5];
+        write_f32s(&mut lanes[2], &w, w_va, &other_w);
+        let mut other_b = bias.clone();
+        other_b[1] += 1.0;
+        write_f32s(&mut lanes[4], &w, b_va, &other_b);
+        let alone = lanes.clone();
+
+        let mut mems: Vec<&mut Memory> = lanes.iter_mut().collect();
+        execute_program(
+            &mut mems,
+            &w,
+            &mut Tlb::new(),
+            &mut ExecScratch::default(),
+            shader_va,
+            1,
+            8,
+            None,
+            |_, _, r| assert!(r.is_ok(), "{r:?}"),
+        )
+        .unwrap();
+        let out_len = (p.out_c * p.out_h() * p.out_w()) as usize;
+        for (i, (mem, mut single)) in lanes.iter().zip(alone).enumerate() {
+            run_one(
+                &mut single,
+                &w,
+                &mut Tlb::new(),
+                &mut ExecScratch::default(),
+                shader_va,
+                None,
+            )
+            .unwrap();
+            assert_eq!(
+                bits(&read_f32s(mem, &w, out_va, out_len)),
+                bits(&read_f32s(&single, &w, out_va, out_len)),
+                "lane {i}"
+            );
+        }
+        // The leader's weights would have given lane 2 other bits.
+        let lane2_in = read_f32s(&lanes[2], &w, in_va, (p.in_c * p.in_h * p.in_w) as usize);
+        assert_ne!(
+            bits(&read_f32s(&lanes[2], &w, out_va, out_len)),
+            bits(&reference::conv2d(&lane2_in, &weights, &bias, &p))
+        );
     }
 
     #[test]
@@ -2196,17 +2435,7 @@ mod tests {
         };
         let mut tlb = Tlb::new();
         let mut scratch = ExecScratch::default();
-        let rep = execute_program(
-            &mut mem2,
-            &w2,
-            &mut tlb,
-            &mut scratch,
-            shader_va,
-            1,
-            8,
-            Some(&d),
-        )
-        .unwrap();
+        let rep = run_one(&mut mem2, &w2, &mut tlb, &mut scratch, shader_va, Some(&d)).unwrap();
         let fused = read_f32s(&mem2, &w2, out_va, out_len);
         assert_eq!(bits(&fused), bits(&sequential));
 
@@ -2245,16 +2474,7 @@ mod tests {
         };
         let mut tlb = Tlb::new();
         let mut scratch = ExecScratch::default();
-        let r = execute_program(
-            &mut mem,
-            &w,
-            &mut tlb,
-            &mut scratch,
-            shader_va,
-            1,
-            8,
-            Some(&d),
-        );
+        let r = run_one(&mut mem, &w, &mut tlb, &mut scratch, shader_va, Some(&d));
         assert_eq!(r, Err(ShaderFault::FusionMismatch));
     }
 

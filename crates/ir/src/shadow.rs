@@ -69,11 +69,6 @@ impl ShadowMem {
         let b = self.dump_range(pa, 8);
         u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
     }
-
-    /// Number of materialized pages (testing aid).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// Everything a page-table walk discovered.
@@ -192,7 +187,7 @@ mod tests {
         assert_eq!(s.dump_range(0x5000, 8), vec![0u8; 8]);
         s.xor_range(0x5FFE, &[1, 2, 3, 4]); // Straddles a page boundary.
         assert_eq!(s.dump_range(0x5FFE, 4), vec![1, 2, 3, 4]);
-        assert_eq!(s.resident_pages(), 2);
+        assert_eq!(s.pages.len(), 2);
         assert_eq!(s.dump_range(0x5FFC, 2), vec![0, 0]);
         s.xor_range(0x5FFF, &[0xFF, 0x0F]);
         assert_eq!(s.dump_range(0x5FFE, 4), vec![1, 0xFD, 0x0C, 4]);

@@ -209,11 +209,6 @@ impl CompiledRecording {
         self.regs[idx as usize]
     }
 
-    /// Number of distinct registers the recording touches.
-    pub fn reg_count(&self) -> usize {
-        self.regs.len()
-    }
-
     /// The pre-parsed delta at `index` (see [`Op::LoadDelta`]).
     #[inline]
     pub fn delta(&self, index: u32) -> &PreparedDelta {
@@ -493,7 +488,7 @@ mod tests {
             },
         ]);
         let c = compile(&rec).unwrap();
-        assert_eq!(c.reg_count(), 2);
+        assert_eq!(c.regs.len(), 2);
         assert_eq!(c.num_events(), 3);
         let (Op::RegWrite { reg: a, .. }, Op::RegRead { reg: b, .. }) = (&c.ops()[0], &c.ops()[2])
         else {

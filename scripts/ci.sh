@@ -52,6 +52,12 @@ cargo build --release
 echo "==> tier-1 verify: cargo test -q"
 cargo test -q
 
+# The lane-major conv's differential test with its large budget: every
+# lane of batched convs against the reference conv, bit for bit. Its
+# small budget already ran in tier-1 above.
+echo "==> lane-major conv differential, large budget (release)"
+cargo test -q --release --test fastpath lane_major -- --include-ignored
+
 # Every other crate's unit tests, integration tests (the delta codec's
 # adversarial corpus, the lint gate) and doctests. Tier-1 above already
 # ran the root package's.

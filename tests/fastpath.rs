@@ -7,7 +7,7 @@
 use grt_gpu::mem::Accessor;
 use grt_gpu::mmu::{map_page, Tlb, Walker};
 use grt_gpu::regs::{gpu_control as gc, job_control as jc, mmu_control as mc};
-use grt_gpu::shader::{execute_program, reference, ExecScratch};
+use grt_gpu::shader::{execute_program, ExecScratch};
 use grt_gpu::{
     ConvParams, Gpu, GpuSku, IrqLine, JobDescriptor, JobStatus, Memory, PoolKind, ShaderOp,
     PAGE_SIZE,
@@ -17,6 +17,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 mod support;
+
+#[path = "../crates/gpu/tests/support/reference.rs"]
+mod reference;
 
 /// Deterministic pseudo-random f32 stream in roughly [-2, 2).
 fn lcg(seed: u64) -> impl FnMut() -> f32 {
@@ -113,7 +116,7 @@ impl KernelRig {
             .write(SHADER_VA, &op.encode(), Accessor::Cpu)
             .unwrap();
         execute_program(
-            &mut self.mem,
+            &mut [&mut self.mem],
             &self.walker,
             &mut self.tlb,
             &mut self.scratch,
@@ -121,6 +124,7 @@ impl KernelRig {
             1,
             TILES,
             None,
+            |_, _, _| {},
         )
         .unwrap();
     }
@@ -351,6 +355,249 @@ fn fast_kernels_bit_identical_on_randomized_geometries() {
         );
         check_elementwise(&mut r, pick(1, 300), &mut rng);
     }
+}
+
+// Lane rig: small VA==PA memories with one page-table layout, the way a
+// batch's lanes share one.
+const LANE_IN_VA: u64 = 0x1_0000;
+const LANE_W_VA: u64 = 0x3_0000;
+const LANE_B_VA: u64 = 0x5_0000;
+const LANE_TAIL_VA: u64 = 0x6_0000;
+const LANE_OUT_VA: u64 = 0x8_0000;
+const LANE_SHADER_VA: u64 = 0xA_0000;
+
+/// A 1 MiB memory with `[0x10000, 0xB0000)` identity-mapped, to clone
+/// once per lane.
+fn lane_template() -> (Memory, Walker) {
+    let mut mem = Memory::new(1 << 20);
+    let root = 0xC_0000u64;
+    let mut next = root + PAGE_SIZE as u64;
+    let mut alloc = || {
+        let pa = next;
+        next += PAGE_SIZE as u64;
+        pa
+    };
+    for addr in (LANE_IN_VA..0xB_0000).step_by(PAGE_SIZE) {
+        map_page(
+            &mut mem,
+            root,
+            addr,
+            addr,
+            grt_gpu::PteFlags::rwx(),
+            0,
+            &mut alloc,
+        )
+        .unwrap();
+    }
+    let walker = Walker {
+        root_pa: root,
+        quirk: 0,
+        asn: 0,
+    };
+    (mem, walker)
+}
+
+fn put_f32s(mem: &mut Memory, va: u64, vals: &[f32]) {
+    let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+    mem.write(va, &bytes, Accessor::Cpu).unwrap();
+}
+
+fn get_f32s(mem: &Memory, va: u64, n: usize) -> Vec<f32> {
+    mem.dump_range(va, n * 4)
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
+}
+
+/// Special values the FP rules treat apart, in two families. A case draws
+/// from one family only: which of two different NaNs an operation passes
+/// on is left open by the language, so a case mixing an input NaN with
+/// the NaN that `inf - inf` or `0 * inf` makes has no single right answer.
+const NAN_FAMILY: [f32; 4] = [
+    f32::from_bits(0x7FC0_1234),
+    -0.0,
+    f32::from_bits(0x0010_0000),
+    f32::from_bits(0x8000_0003),
+];
+const INF_FAMILY: [f32; 4] = [
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    f32::from_bits(0x0000_0007),
+];
+
+/// Overwrites about one element in eight with a value from `family`.
+fn sprinkle(v: &mut [f32], family: &[f32], seed: u64) {
+    if family.is_empty() {
+        return;
+    }
+    let mut x = seed | 1;
+    for e in v.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if x.is_multiple_of(8) {
+            *e = family[(x >> 8) as usize % family.len()];
+        }
+    }
+}
+
+/// Runs `cases` pinned-seed batched convs through `execute_program` and
+/// checks every lane, bit for bit, against the reference conv (and its
+/// fused tails) applied to that lane alone. Case `i` takes its kernel
+/// size, stride and pad from a 12-way cycle and its tail from a 5-way
+/// cycle (none, relu, add either way round, add+relu); the seed draws the
+/// batch size from {2, 3, 7, 8, 9, 64}, `in_c` from 1..=48, height and
+/// width apart, whether there is a bias, and which special values, if
+/// any, go into the inputs, weights, bias and add operands.
+fn check_lane_convs(cases: usize, seed: u64) {
+    const BATCHES: [usize; 6] = [2, 3, 7, 8, 9, 64];
+    let (template, walker) = lane_template();
+    let mut istate = seed;
+    let mut pick = move |lo: usize, hi: usize| {
+        istate = istate
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lo + (istate >> 33) as usize % (hi - lo + 1)
+    };
+    let mut rng = lcg(seed);
+    let mut scratch = ExecScratch::default();
+    let mut seen_batches = std::collections::BTreeSet::new();
+    let mut seen_families = std::collections::BTreeSet::new();
+    for case in 0..cases {
+        let k = [1u32, 3, 5][case % 3];
+        let p = ConvParams {
+            in_c: pick(1, 48) as u32,
+            in_h: pick(k as usize, k as usize + 8) as u32,
+            in_w: pick(k as usize, k as usize + 8) as u32,
+            out_c: pick(1, 6) as u32,
+            k,
+            stride: [1, 2][case / 3 % 2],
+            pad: [0, 1][case / 6 % 2],
+        };
+        let b = BATCHES[pick(0, BATCHES.len() - 1)];
+        let (tail_add, tail_relu, interm_first) = [
+            (false, false, false),
+            (false, true, false),
+            (true, false, true),
+            (true, false, false),
+            (true, true, false),
+        ][case % 5];
+        let has_bias = pick(0, 3) != 0;
+        let family = pick(0, 2);
+        seen_batches.insert(b);
+        seen_families.insert(family);
+        let specials: &[f32] = [&[][..], &NAN_FAMILY, &INF_FAMILY][family];
+        let ctx = format!(
+            "case {case}: B={b} {p:?} bias={has_bias} specials={family} \
+             add={tail_add}/{interm_first} relu={tail_relu}"
+        );
+
+        let out_len = (p.out_c * p.out_h() * p.out_w()) as usize;
+        let mut weights = fill((p.out_c * p.in_c * p.k * p.k) as usize, &mut rng);
+        let mut bias = vec![0.0; p.out_c as usize];
+        if has_bias {
+            bias = fill(p.out_c as usize, &mut rng);
+            sprinkle(&mut bias, specials, !seed ^ case as u64);
+        }
+        sprinkle(&mut weights, specials, seed ^ case as u64);
+        let op = ShaderOp::Conv2d {
+            in_va: LANE_IN_VA,
+            w_va: LANE_W_VA,
+            b_va: if has_bias { LANE_B_VA } else { 0 },
+            out_va: LANE_OUT_VA,
+            p,
+            tiles: TILES,
+        };
+        let directive =
+            grt_gpu::OpKind::fused(grt_gpu::OpKind::Conv2d, tail_add, tail_relu).map(|kind| {
+                grt_gpu::FusedDirective {
+                    head: grt_gpu::OpKind::Conv2d,
+                    head_out_va: LANE_OUT_VA,
+                    head_len: out_len as u64,
+                    tail_add: tail_add.then_some(grt_gpu::TailAdd {
+                        other_va: LANE_TAIL_VA,
+                        out_va: LANE_OUT_VA,
+                        len: out_len as u64,
+                        interm_first,
+                    }),
+                    tail_relu,
+                    extra_cost_us: 0,
+                    kind,
+                }
+            });
+        let mut shared = template.clone();
+        shared
+            .write(LANE_SHADER_VA, &op.encode(), Accessor::Cpu)
+            .unwrap();
+        put_f32s(&mut shared, LANE_W_VA, &weights);
+        put_f32s(&mut shared, LANE_B_VA, &bias);
+
+        let mut lanes = Vec::with_capacity(b);
+        let mut want = Vec::with_capacity(b);
+        for lane in 0..b {
+            let mut input = fill((p.in_c * p.in_h * p.in_w) as usize, &mut rng);
+            let mut other = fill(out_len, &mut rng);
+            sprinkle(&mut input, specials, seed ^ (case * 131 + lane) as u64);
+            sprinkle(&mut other, specials, !seed ^ (case * 137 + lane) as u64);
+            let mut mem = shared.clone();
+            put_f32s(&mut mem, LANE_IN_VA, &input);
+            put_f32s(&mut mem, LANE_TAIL_VA, &other);
+            lanes.push(mem);
+
+            let mut expect = reference::conv2d(&input, &weights, &bias, &p);
+            if tail_add {
+                expect = if interm_first {
+                    reference::add(&expect, &other)
+                } else {
+                    reference::add(&other, &expect)
+                };
+            }
+            if tail_relu {
+                expect = reference::relu(&expect);
+            }
+            want.push(expect);
+        }
+
+        let mut mems: Vec<&mut Memory> = lanes.iter_mut().collect();
+        let mut done = 0;
+        execute_program(
+            &mut mems,
+            &walker,
+            &mut Tlb::new(),
+            &mut scratch,
+            LANE_SHADER_VA,
+            1,
+            TILES,
+            directive.as_ref(),
+            |_, _, r| {
+                assert!(r.is_ok(), "{ctx}: {r:?}");
+                done += 1;
+            },
+        )
+        .unwrap();
+        assert_eq!(done, b, "{ctx}: every lane ran");
+        for (lane, (mem, expect)) in lanes.iter().zip(&want).enumerate() {
+            let got = get_f32s(mem, LANE_OUT_VA, out_len);
+            assert_eq!(bits(&got), bits(expect), "{ctx}: lane {lane}");
+        }
+    }
+    assert_eq!(seen_batches.len(), BATCHES.len(), "every batch size ran");
+    assert_eq!(seen_families.len(), 3, "every special-value family ran");
+}
+
+/// The lane-major conv against the reference, lane by lane: a small
+/// pinned budget that runs in the debug test suite.
+#[test]
+fn lane_major_conv_matches_reference_on_every_lane() {
+    check_lane_convs(30, 0x1A7E_0001);
+}
+
+/// The same check with a larger budget; CI runs it in release.
+#[test]
+#[ignore = "large budget: run with --release --include-ignored"]
+fn lane_major_conv_matches_reference_on_every_lane_wide() {
+    check_lane_convs(600, 0x1A7E_0002);
 }
 
 /// A full device with one mapped arena, for TLB-coherence tests that
