@@ -31,7 +31,7 @@ use grt_attest::{AttestationExport, ReplayReceipt};
 use grt_bench::benchmarks;
 use grt_gpu::GpuSku;
 use grt_ml::reference::{test_input, workload_weights};
-use grt_replay::client::{ClientDevice, PROVISIONING_SECRET};
+use grt_replay::client::{recording_trust_root, ClientDevice, PROVISIONING_SECRET};
 use grt_replay::replay::Replayer;
 use grt_serve::{RecordingRegistry, RegistryConfig};
 use grt_sim::{Clock, Stats};
@@ -71,8 +71,9 @@ fn emit(dir: &str) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        // Replay on a fresh device of the recording's SKU, exactly as a
-        // fleet worker would, with the provenance chain attached.
+        // Load and replay on a fresh device of the recording's SKU, as a
+        // fleet worker's `LOAD_RECORDING` does: the device verifies, vets
+        // and lowers the fetched bytes itself.
         let clock = Clock::new();
         let stats = Rc::new(Stats::new());
         let device = ClientDevice::new(sku.clone(), &clock, &stats, PROVISIONING_SECRET);
@@ -80,7 +81,10 @@ fn emit(dir: &str) -> ExitCode {
         replayer.attach_provenance(fetch.provenance.digest());
         let input = test_input(&spec, 7);
         let weights = workload_weights(&spec);
-        if let Err(e) = replayer.replay_compiled(&fetch.compiled, &input, &weights) {
+        if let Err(e) = replayer
+            .compile_signed(&fetch.recording, &recording_trust_root())
+            .and_then(|compiled| replayer.replay_compiled(&compiled, &input, &weights))
+        {
             eprintln!("receipt-verify: replay of {} failed: {e}", spec.name);
             return ExitCode::FAILURE;
         }

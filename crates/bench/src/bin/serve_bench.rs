@@ -43,7 +43,7 @@ use grt_attest::ReplayReceipt;
 use grt_bench::{benchmarks, fleet_of, heterogeneous_fleet};
 use grt_gpu::GpuSku;
 use grt_ml::reference::{test_input, workload_weights};
-use grt_replay::client::{ClientDevice, PROVISIONING_SECRET};
+use grt_replay::client::{recording_trust_root, ClientDevice, PROVISIONING_SECRET};
 use grt_replay::replay::Replayer;
 use grt_serve::{
     generate_trace, Fleet, FleetConfig, SchedulerKind, ServeReport, ServiceMode, TraceConfig,
@@ -130,12 +130,11 @@ fn attestation_spotcheck(registry: &mut grt_serve::RecordingRegistry) -> String 
     let device = ClientDevice::new(sku, &clock, &stats, PROVISIONING_SECRET);
     let mut replayer = Replayer::new(&device, Rc::new(grt_lint::Linter::new()));
     replayer.attach_provenance(fetch.provenance.digest());
+    let compiled = replayer
+        .compile_signed(&fetch.recording, &recording_trust_root())
+        .expect("the device loads what the registry vetted");
     replayer
-        .replay_compiled(
-            &fetch.compiled,
-            &test_input(spec, 7),
-            &workload_weights(spec),
-        )
+        .replay_compiled(&compiled, &test_input(spec, 7), &workload_weights(spec))
         .expect("spot-check replay succeeds");
     let receipt = replayer
         .last_receipt()

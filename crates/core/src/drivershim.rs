@@ -34,7 +34,7 @@ use grt_gpu::{IrqLine, PollCond, PollResult, PollSpec};
 use grt_ir::recording::Event;
 use grt_net::{Direction, Link};
 use grt_replay::client::{encode_batch, GpuShim, WireAccess};
-use grt_sim::{Clock, SimTime, Stats, Trace};
+use grt_sim::{Clock, SimTime, Stats};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -165,7 +165,6 @@ pub struct DriverShim {
 
     // Recording + memory sync.
     events: RefCell<Vec<Event>>,
-    trace: RefCell<Option<Rc<Trace>>>,
     memsync: RefCell<MemSync>,
     cloud_mem: RefCell<Option<Rc<RefCell<Memory>>>>,
     regions: RefCell<Option<Rc<RefCell<grt_driver::RegionTable>>>>,
@@ -230,7 +229,6 @@ impl DriverShim {
             commit_counter: Cell::new(0),
             jobs_started: Cell::new(0),
             events: RefCell::new(Vec::new()),
-            trace: RefCell::new(None),
             memsync: RefCell::new(MemSync::new(mode, stats)),
             cloud_mem: RefCell::new(None),
             regions: RefCell::new(None),
@@ -253,20 +251,6 @@ impl DriverShim {
     /// Sets the nominal working set of the next jobs (Naive accounting).
     pub fn set_job_nominal_bytes(&self, bytes: u64) {
         self.current_job_nominal.set(bytes);
-    }
-
-    /// Attaches a trace sink; when enabled, the shim narrates commits,
-    /// speculation decisions, and rollbacks.
-    pub fn attach_trace(&self, trace: &Rc<Trace>) {
-        *self.trace.borrow_mut() = Some(Rc::clone(trace));
-    }
-
-    fn emit_trace(&self, message: impl FnOnce() -> String) {
-        if let Some(t) = self.trace.borrow().as_ref() {
-            if t.is_enabled() {
-                t.emit("drivershim", message());
-            }
-        }
     }
 
     /// Arms fault injection: the prediction of commit number `n` (counted
@@ -478,12 +462,6 @@ impl DriverShim {
     /// by the cloud-side driver reload and job recompilation.
     fn recover_from_misprediction(&self) {
         self.stats.inc("spec.mispredictions");
-        self.emit_trace(|| {
-            format!(
-                "MISPREDICTION detected: both parties reset and replay the log                  ({} jobs recorded so far)",
-                self.jobs_started.get()
-            )
-        });
         let cost = SimTime::from_millis(800) + SimTime::from_millis(20) * self.jobs_started.get();
         self.clock.advance(cost);
         self.stats.add("spec.rollback_us", cost.as_micros());
@@ -608,19 +586,6 @@ impl DriverShim {
         };
 
         let speculated = prediction.is_some();
-        self.emit_trace(|| {
-            format!(
-                "commit @{site_key}: {} accesses ({} reads), {} [{}]",
-                sig.len(),
-                n_reads,
-                if speculated {
-                    "speculative"
-                } else {
-                    "synchronous"
-                },
-                category.key(),
-            )
-        });
         let completes_at = if speculated {
             self.stats.inc("spec.commits_speculative");
             self.stats
@@ -749,7 +714,6 @@ impl DriverShim {
                 if self.sync_fault.get().is_none() {
                     self.sync_fault.set(Some(e));
                 }
-                self.emit_trace(|| format!("sync_down fault latched: {e}"));
                 return;
             }
         };
@@ -1385,63 +1349,5 @@ mod tests {
                 ..
             }
         ));
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use grt_gpu::{Gpu, GpuSku};
-    use grt_net::NetConditions;
-    use grt_tee::{SecureMonitor, Tzasc};
-
-    #[test]
-    fn trace_narrates_commits_and_rollbacks() {
-        let clock = Clock::new();
-        let stats = Stats::new();
-        let link = Link::new(&clock, &stats, NetConditions::wifi());
-        let client_mem = Rc::new(RefCell::new(Memory::new(1 << 20)));
-        let gpu = Rc::new(RefCell::new(Gpu::new(
-            GpuSku::mali_g71_mp8(),
-            &clock,
-            &client_mem,
-        )));
-        let tzasc = Rc::new(Tzasc::new());
-        let monitor = SecureMonitor::new(&clock);
-        let client = Rc::new(RefCell::new(grt_replay::client::GpuShim::new(
-            &clock,
-            &gpu,
-            &client_mem,
-            &tzasc,
-            &monitor,
-            b"s",
-        )));
-        let cfg = ShimConfig {
-            defer: true,
-            speculate: true,
-            offload_polls: true,
-            meta_only_sync: true,
-            spec_k: SPEC_HISTORY_K,
-        };
-        let shim = DriverShim::new(cfg, &clock, &stats, &link, &client, b"s");
-        let trace = Trace::new(&clock);
-        trace.set_enabled(true);
-        shim.attach_trace(&trace);
-        for _ in 0..SPEC_HISTORY_K + 1 {
-            shim.enter_hot("h");
-            let v = shim.read("site", grt_gpu::regs::gpu_control::GPU_ID);
-            let _ = shim.resolve("site", &v);
-            shim.exit_hot("h");
-        }
-        shim.inject_misprediction_at(0);
-        shim.enter_hot("h");
-        let v = shim.read("site", grt_gpu::regs::gpu_control::GPU_ID);
-        let _ = shim.resolve("site", &v);
-        shim.exit_hot("h");
-        shim.join_all_outstanding();
-        let events = trace.events();
-        assert!(events.iter().any(|e| e.message.contains("synchronous")));
-        assert!(events.iter().any(|e| e.message.contains("speculative")));
-        assert!(events.iter().any(|e| e.message.contains("MISPREDICTION")));
     }
 }

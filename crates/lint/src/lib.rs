@@ -70,8 +70,8 @@ impl Linter {
     /// grt-ml's `NetworkSpec` is one).
     /// Lifts the recording to the semantics IR internally — a convenience
     /// for the `recording-lint` CLI and tests. Callers that already hold a
-    /// lift (the replayer and the serving registry lift once for lint
-    /// *and* compile) use [`Linter::lint_ir`].
+    /// lift (the replayer lifts once for its gate *and* its lowering) use
+    /// [`Linter::lint_ir`].
     pub fn lint(
         &self,
         rec: &Recording,

@@ -641,10 +641,7 @@ impl<'a> Pass<'a> {
         }
         let d = &self.ir.deltas[index];
         let (pa, len) = (d.pa, d.len as u64);
-        if len == 0 {
-            return;
-        }
-        if !in_carveout(pa, len) {
+        if len != 0 && !in_carveout(pa, len) {
             self.error(
                 Rule::R2PageTableReachability,
                 i,
@@ -655,7 +652,8 @@ impl<'a> Pass<'a> {
             );
             return;
         }
-        if self.ir.deltas[index].parsed.is_none() {
+        // Even an empty region's payload must decode, as lowering demands.
+        if d.parsed.is_none() {
             self.error(
                 Rule::R2PageTableReachability,
                 i,
@@ -663,7 +661,9 @@ impl<'a> Pass<'a> {
             );
             return;
         }
-        self.check_delta_slot_overlap(i, pa, len);
+        if len != 0 {
+            self.check_delta_slot_overlap(i, pa, len);
+        }
     }
 
     fn check_delta_slot_overlap(&mut self, i: usize, pa: u64, len: u64) {

@@ -8,8 +8,6 @@
 //!   encoding-level validation (poll condition codes, IRQ line bytes,
 //!   iteration budgets) already performed — a compiled op cannot be
 //!   malformed;
-//! - register offsets are interned into a dense table, so ops carry small
-//!   dense indices instead of raw offsets resolved per event;
 //! - memory deltas are decompressed and structurally validated into
 //!   [`grt_compress::ParsedDelta`] page lists, applied at replay by
 //!   in-place XOR — no per-replay decompression, no full-region dump and
@@ -62,9 +60,6 @@ pub enum CompileError {
         /// Index of the offending event in the recording.
         event_index: usize,
     },
-    /// The recording touches more distinct registers than the dense index
-    /// width allows (far beyond any real GPU's register file).
-    TooManyRegisters,
     /// A lowering was asked to clamp polls to a cap other than
     /// [`REPLAY_POLL_ITER_CAP`], the one cap the replayer enforces.
     PollCap {
@@ -82,7 +77,6 @@ impl std::fmt::Display for CompileError {
             CompileError::CorruptDelta { event_index } => {
                 write!(f, "corrupt metastate delta at event {event_index}")
             }
-            CompileError::TooManyRegisters => write!(f, "register table overflow"),
             CompileError::PollCap { cap } => {
                 write!(f, "poll cap {cap} is not {REPLAY_POLL_ITER_CAP}")
             }
@@ -91,9 +85,6 @@ impl std::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// Dense register index into [`CompiledRecording::reg_offset`].
-pub type RegIdx = u16;
 
 /// One lowered event. Fixed shape, fully validated: the compiled executor
 /// never decodes or rejects anything encoding-level.
@@ -106,15 +97,15 @@ pub enum Op {
     },
     /// A register write.
     RegWrite {
-        /// Dense register index.
-        reg: RegIdx,
+        /// MMIO register offset.
+        offset: u32,
         /// Value to write.
         value: u32,
     },
     /// A register read, optionally verified against the recorded value.
     RegRead {
-        /// Dense register index.
-        reg: RegIdx,
+        /// MMIO register offset.
+        offset: u32,
         /// Value observed at record time.
         value: u32,
         /// Whether the replayer must check the value.
@@ -123,8 +114,8 @@ pub enum Op {
     /// A bounded polling loop; the condition is pre-decoded and the
     /// iteration budget pre-clamped to the replayer's hard cap.
     Poll {
-        /// Dense register index.
-        reg: RegIdx,
+        /// MMIO register offset.
+        reg: u32,
         /// Mask applied before the comparison.
         mask: u32,
         /// Pre-decoded exit condition.
@@ -175,8 +166,6 @@ pub struct CompiledRecording {
     pub output: DataSlot,
     /// Weight/bias slots in layer order.
     pub weights: Vec<DataSlot>,
-    /// Interned register offsets; ops refer to these by dense index.
-    regs: Vec<u32>,
     /// The flat op arena, one op per recording event, in order.
     ops: Vec<Op>,
     /// Side arena of pre-parsed deltas, referenced by `Op::LoadDelta`.
@@ -201,12 +190,6 @@ impl CompiledRecording {
     /// The flat op arena, one op per recording event.
     pub fn ops(&self) -> &[Op] {
         &self.ops
-    }
-
-    /// Resolves a dense register index back to its MMIO offset.
-    #[inline]
-    pub fn reg_offset(&self, idx: RegIdx) -> u32 {
-        self.regs[idx as usize]
     }
 
     /// The pre-parsed delta at `index` (see [`Op::LoadDelta`]).
@@ -303,7 +286,7 @@ pub const MAX_BATCH: usize = 64;
 /// [`CompileError`] on unknown poll condition codes, zero iteration
 /// budgets, out-of-range IRQ line bytes, deltas that failed
 /// [`grt_compress::DeltaCodec::parse_limited`] in the lift against the
-/// region length the event claims, and register-table overflow.
+/// region length the event claims.
 pub fn lower(
     mut ir: IrProgram,
     recording_digest: [u8; 32],
@@ -316,36 +299,19 @@ pub fn lower(
     } else {
         grt_ir::FusionPlan::default()
     };
-    let mut regs: Vec<u32> = Vec::new();
-    let mut intern = std::collections::HashMap::new();
-    let intern_reg = |offset: u32,
-                      regs: &mut Vec<u32>,
-                      intern: &mut std::collections::HashMap<u32, RegIdx>|
-     -> Result<RegIdx, CompileError> {
-        if let Some(&idx) = intern.get(&offset) {
-            return Ok(idx);
-        }
-        let idx = RegIdx::try_from(regs.len()).map_err(|_| CompileError::TooManyRegisters)?;
-        regs.push(offset);
-        intern.insert(offset, idx);
-        Ok(idx)
-    };
     let mut ops = Vec::with_capacity(ir.steps.len());
     let mut deltas = Vec::new();
     let mut delta_wire_bytes = 0u64;
     for step in &ir.steps {
         let op = match *step {
             Step::BeginLayer { index } => Op::BeginLayer { index },
-            Step::RegWrite { offset, value, .. } => Op::RegWrite {
-                reg: intern_reg(offset, &mut regs, &mut intern)?,
-                value,
-            },
+            Step::RegWrite { offset, value, .. } => Op::RegWrite { offset, value },
             Step::RegRead {
                 offset,
                 value,
                 verify,
             } => Op::RegRead {
-                reg: intern_reg(offset, &mut regs, &mut intern)?,
+                offset,
                 value,
                 verify,
             },
@@ -360,7 +326,7 @@ pub fn lower(
                 let cond = decode_poll(cond, cmp, max_iters)
                     .map_err(|(field, value)| CompileError::MalformedEvent { field, value })?;
                 Op::Poll {
-                    reg: intern_reg(reg, &mut regs, &mut intern)?,
+                    reg,
                     mask,
                     cond,
                     max_iters: max_iters.min(REPLAY_POLL_ITER_CAP),
@@ -432,7 +398,6 @@ pub fn lower(
         input: ir.input,
         output: ir.output,
         weights: ir.weights,
-        regs,
         ops,
         deltas,
         delta_wire_bytes,
@@ -468,34 +433,6 @@ mod tests {
             weights: vec![],
             events,
         }
-    }
-
-    #[test]
-    fn register_offsets_are_interned_densely() {
-        let rec = base_recording(vec![
-            Event::RegWrite {
-                offset: 0x30,
-                value: 1,
-            },
-            Event::RegWrite {
-                offset: 0x24,
-                value: 2,
-            },
-            Event::RegRead {
-                offset: 0x30,
-                value: 3,
-                verify: false,
-            },
-        ]);
-        let c = compile(&rec).unwrap();
-        assert_eq!(c.regs.len(), 2);
-        assert_eq!(c.num_events(), 3);
-        let (Op::RegWrite { reg: a, .. }, Op::RegRead { reg: b, .. }) = (&c.ops()[0], &c.ops()[2])
-        else {
-            panic!("unexpected ops: {:?}", c.ops());
-        };
-        assert_eq!(a, b, "same offset, same dense index");
-        assert_eq!(c.reg_offset(*a), 0x30);
     }
 
     #[test]

@@ -327,9 +327,7 @@ impl Replayer {
                 ReplayError::MalformedEvent { field, value }
             }
             CompileError::CorruptDelta { .. } => ReplayError::CorruptDelta,
-            CompileError::TooManyRegisters | CompileError::PollCap { .. } => {
-                ReplayError::BadRecording
-            }
+            CompileError::PollCap { .. } => ReplayError::BadRecording,
         })
     }
 
@@ -486,7 +484,7 @@ impl Replayer {
 
     /// Checks a compiled recording against the present SKU and the shapes
     /// of the data about to be injected. The SKU is re-checked because a
-    /// compiled recording outlives device handoffs in the serve registry,
+    /// compiled recording is a plain value any replayer can be handed,
     /// and the check is two loads.
     fn check_compiled<I: AsRef<[f32]>, W: AsRef<[f32]>>(
         &self,
@@ -554,17 +552,18 @@ impl Replayer {
         self.profile.overhead += prices.op;
         match op {
             Op::BeginLayer { .. } => {}
-            Op::RegWrite { reg, value } => {
-                self.device_gpu
-                    .borrow_mut()
-                    .write_reg(compiled.reg_offset(*reg), *value);
+            Op::RegWrite { offset, value } => {
+                self.device_gpu.borrow_mut().write_reg(*offset, *value);
             }
-            Op::RegRead { reg, value, verify } => {
-                let offset = compiled.reg_offset(*reg);
-                let got = self.device_gpu.borrow_mut().read_reg(offset);
+            Op::RegRead {
+                offset,
+                value,
+                verify,
+            } => {
+                let got = self.device_gpu.borrow_mut().read_reg(*offset);
                 if *verify && got != *value {
                     return Err(ReplayError::VerifyMismatch {
-                        offset,
+                        offset: *offset,
                         expected: *value,
                         got,
                     });
@@ -577,10 +576,9 @@ impl Replayer {
                 max_iters,
                 delay_us,
             } => {
-                let offset = compiled.reg_offset(*reg);
                 let mut satisfied = false;
                 for _ in 0..*max_iters {
-                    let raw = self.device_gpu.borrow_mut().read_reg(offset);
+                    let raw = self.device_gpu.borrow_mut().read_reg(*reg);
                     if cond.satisfied(raw, *mask) {
                         satisfied = true;
                         break;
@@ -588,7 +586,7 @@ impl Replayer {
                     self.clock.advance(SimTime::from_micros(*delay_us as u64));
                 }
                 if !satisfied {
-                    return Err(ReplayError::PollTimeout { reg: offset });
+                    return Err(ReplayError::PollTimeout { reg: *reg });
                 }
             }
             Op::WaitIrq { line } => {

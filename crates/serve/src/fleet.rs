@@ -1008,38 +1008,73 @@ fn stage_model(stack: &TeeStack, fetch: &FetchOutcome, model_weights: &[Vec<f32>
         .expect("registry provenance matches the recording it vetted");
 }
 
-/// Measures one `(model, SKU)` service profile on a throwaway probe
-/// stack: real staging, a first and a warm replay, and one fully
-/// verified replay receipt — so the attestation path is proven end to
-/// end before modeled services stand in for it.
+/// One `SET_INPUT`+`RUN` on `stack`: the replay's output bytes and how
+/// long it took on the device clock.
+fn replay_once(stack: &TeeStack, input: &[u8]) -> (Vec<u8>, SimTime) {
+    let t0 = stack.device.clock.now();
+    stack
+        .host
+        .invoke(stack.session, cmd::SET_INPUT, input)
+        .expect("input matches recording slot");
+    let output = stack
+        .host
+        .invoke(stack.session, cmd::RUN, &[])
+        .expect("replay of vetted recording succeeds");
+    (output, stack.device.clock.now() - t0)
+}
+
+/// What a probe measured on its throwaway stack before its own timings.
+struct Probe {
+    stack: TeeStack,
+    /// Staging time (`LOAD_RECORDING` through `SET_PROVENANCE`).
+    load: SimTime,
+    /// Input 0 as wire bytes, and the output and duration of its first
+    /// replay, which leaves the stack at warm TLB/page state.
+    input: Vec<u8>,
+    output: Vec<u8>,
+    first_replay: SimTime,
+}
+
+/// Builds a throwaway probe stack for `(spec, sku)`, stages `fetch` on it
+/// and runs one replay of input 0: the set-up and warm-up both profile
+/// kinds share.
+fn probe(
+    spec: &NetworkSpec,
+    sku: &GpuSku,
+    fetch: &FetchOutcome,
+    model_weights: &[Vec<f32>],
+) -> Probe {
+    let stats = Stats::new();
+    let stack = TeeStack::new(sku.clone(), &stats);
+    let t0 = stack.device.clock.now();
+    stage_model(&stack, fetch, model_weights);
+    let load = stack.device.clock.now() - t0;
+    let input = input_bytes(spec, 0);
+    let (output, first_replay) = replay_once(&stack, &input);
+    Probe {
+        stack,
+        load,
+        input,
+        output,
+        first_replay,
+    }
+}
+
+/// Measures one `(model, SKU)` service profile on a probe: staging, a
+/// first and a warm replay, and one fully verified replay receipt — so
+/// the attestation path is proven end to end before modeled services
+/// stand in for it.
 fn measure_profile(
     spec: &NetworkSpec,
     sku: &GpuSku,
     fetch: &FetchOutcome,
     model_weights: &[Vec<f32>],
 ) -> ServiceProfile {
-    let stats = Stats::new();
-    let stack = TeeStack::new(sku.clone(), &stats);
-    let t0 = stack.device.clock.now();
-    stage_model(&stack, fetch, model_weights);
-    let load = stack.device.clock.now() - t0;
-
-    let input = test_input(spec, 0);
-    let input_bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let t1 = stack.device.clock.now();
-    stack
+    let p = probe(spec, sku, fetch, model_weights);
+    let receipt_bytes = p
+        .stack
         .host
-        .invoke(stack.session, cmd::SET_INPUT, &input_bytes)
-        .expect("input matches recording slot");
-    let output = stack
-        .host
-        .invoke(stack.session, cmd::RUN, &[])
-        .expect("replay of vetted recording succeeds");
-    let first_replay = stack.device.clock.now() - t1;
-
-    let receipt_bytes = stack
-        .host
-        .invoke(stack.session, cmd::RECEIPT, &[])
+        .invoke(p.stack.session, cmd::RECEIPT, &[])
         .expect("completed replay has a receipt");
     let receipt = ReplayReceipt::from_bytes(&receipt_bytes).expect("probe receipt parses");
     verify_chain(
@@ -1049,30 +1084,18 @@ fn measure_profile(
         PROVISIONING_SECRET,
     )
     .expect("probe receipt chains to registry provenance");
-    verify_receipt_data(&receipt, &input_bytes, &output).expect("probe receipt covers its data");
-
-    let t2 = stack.device.clock.now();
-    stack
-        .host
-        .invoke(stack.session, cmd::SET_INPUT, &input_bytes)
-        .expect("input matches recording slot");
-    stack
-        .host
-        .invoke(stack.session, cmd::RUN, &[])
-        .expect("replay of vetted recording succeeds");
-    let warm_replay = stack.device.clock.now() - t2;
-
+    verify_receipt_data(&receipt, &p.input, &p.output).expect("probe receipt covers its data");
+    let (_, warm_replay) = replay_once(&p.stack, &p.input);
     ServiceProfile {
-        load,
-        first_replay,
+        load: p.load,
+        first_replay: p.first_replay,
         warm_replay,
     }
 }
 
 /// Measures one warm `(model, SKU, B)` batched-replay duration on a
-/// throwaway probe stack: stage, one scalar warm-up replay (so the timed
-/// batch runs against the warm TLB/page state it models), then one
-/// `RUN_BATCH` interval over `b` lanes.
+/// probe: one `RUN_BATCH` interval over `b` lanes, timed against the warm
+/// TLB/page state it models.
 fn measure_batch_profile(
     spec: &NetworkSpec,
     sku: &GpuSku,
@@ -1080,37 +1103,38 @@ fn measure_batch_profile(
     model_weights: &[Vec<f32>],
     b: usize,
 ) -> SimTime {
-    let stats = Stats::new();
-    let stack = TeeStack::new(sku.clone(), &stats);
-    stage_model(&stack, fetch, model_weights);
-    let input = test_input(spec, 0);
-    let input_bytes: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
-    stack
+    let p = probe(spec, sku, fetch, model_weights);
+    let lanes: Vec<Vec<u8>> = (0..b as u64).map(|id| input_bytes(spec, id)).collect();
+    let t0 = p.stack.device.clock.now();
+    p.stack
         .host
-        .invoke(stack.session, cmd::SET_INPUT, &input_bytes)
-        .expect("input matches recording slot");
-    stack
-        .host
-        .invoke(stack.session, cmd::RUN, &[])
-        .expect("replay of vetted recording succeeds");
-    let mut payload = (b as u32).to_le_bytes().to_vec();
-    for lane in 0..b {
-        payload.extend(
-            test_input(spec, lane as u64)
-                .iter()
-                .flat_map(|v| v.to_le_bytes()),
-        );
-    }
-    let t0 = stack.device.clock.now();
-    stack
-        .host
-        .invoke(stack.session, cmd::RUN_BATCH, &payload)
+        .invoke(p.stack.session, cmd::RUN_BATCH, &batch_payload(&lanes))
         .expect("batched replay of vetted recording succeeds");
-    stack.device.clock.now() - t0
+    p.stack.device.clock.now() - t0
+}
+
+/// Request `id`'s test input as wire bytes.
+fn input_bytes(spec: &NetworkSpec, id: u64) -> Vec<u8> {
+    test_input(spec, id)
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect()
+}
+
+/// A `RUN_BATCH` payload: the lane count, then every lane's input bytes
+/// in lane order.
+fn batch_payload(lanes: &[Vec<u8>]) -> Vec<u8> {
+    let mut payload = (lanes.len() as u32).to_le_bytes().to_vec();
+    for lane in lanes {
+        payload.extend_from_slice(lane);
+    }
+    payload
 }
 
 /// Serves one same-model batch of requests on one device through a
-/// single replay, starting at `start` on the serving timeline. A batch
+/// single replay, starting at `start` on the serving timeline, in four
+/// steps: decide whether the interval fetches, exit on a failed fetch,
+/// compute the service time for the mode, and account the fetch. A batch
 /// of one takes exactly the scalar `SET_INPUT`+`RUN` path (so
 /// `max_batch = 1` fleets are byte-identical to pre-batching ones);
 /// larger batches drive one `RUN_BATCH` interval and verify its single
@@ -1141,8 +1165,32 @@ fn serve_batch(
     let head = &reqs[0];
     let b = reqs.len();
     let spec = &models[head.model];
-    let mut cold_start = false;
+    let switch = worker.loaded_model != Some(head.model);
 
+    // 1. An interval fetches on a model switch, and on every profiled
+    // batch: the batch probe needs the recording, so a staged model's
+    // fetch counts a registry hit, and an evicted entry re-records for
+    // real.
+    let profiled_batch = mode == ServiceMode::Profiled && b > 1;
+    let fetch = if switch || profiled_batch {
+        match registry.fetch(spec, &worker.sku) {
+            Ok(f) => Some(f),
+            // 2. A failed cold-start record fails every batched request.
+            Err(_) => {
+                metrics.failed += b as u64;
+                worker.inflight -= 1;
+                return ServeOutcome::Failed;
+            }
+        }
+    } else {
+        None
+    };
+    // Cold-start record delays are always real (the registry actually
+    // recorded), never modeled: the full delay is charged to this
+    // interval, whose requests waited for it.
+    let cold_delay = fetch.as_ref().and_then(|f| f.cold_start_delay);
+
+    // 3. The service time, by mode.
     let (raw_service, payload) = match mode {
         ServiceMode::Replay => {
             let stack = worker
@@ -1150,56 +1198,21 @@ fn serve_batch(
                 .as_ref()
                 .expect("replay-mode workers own a TEE stack");
             let t0 = stack.device.clock.now();
-            if worker.loaded_model != Some(head.model) {
-                let fetch = match registry.fetch(spec, &worker.sku) {
-                    Ok(f) => f,
-                    Err(_) => {
-                        metrics.failed += b as u64;
-                        worker.inflight -= 1;
-                        return ServeOutcome::Failed;
-                    }
-                };
-                if let Some(delay) = fetch.cold_start_delay {
-                    // The cold-start record ran while this request
-                    // waited; charge its full delay to this interval.
-                    stack.device.clock.advance(delay);
-                    cold_start = true;
-                }
-                let model_weights =
-                    weights[head.model].get_or_insert_with(|| workload_weights(spec));
-                stage_model(stack, &fetch, model_weights);
-                worker.provenance = Some(Rc::clone(&fetch.provenance));
-                worker.lint_json = Some(fetch.lint.to_json());
-                worker.loaded_model = Some(head.model);
-                worker.loads += 1;
+            if let Some(delay) = cold_delay {
+                stack.device.clock.advance(delay);
+            }
+            if let Some(fetch) = &fetch {
+                let mw = weights[head.model].get_or_insert_with(|| workload_weights(spec));
+                stage_model(stack, fetch, mw);
             }
             // Per-request cost: input staging + replay only.
-            let input_lanes: Vec<Vec<u8>> = reqs
-                .iter()
-                .map(|r| {
-                    test_input(spec, r.id)
-                        .iter()
-                        .flat_map(|v| v.to_le_bytes())
-                        .collect()
-                })
-                .collect();
+            let input_lanes: Vec<Vec<u8>> = reqs.iter().map(|r| input_bytes(spec, r.id)).collect();
             let output = if b == 1 {
-                stack
-                    .host
-                    .invoke(stack.session, cmd::SET_INPUT, &input_lanes[0])
-                    .expect("input matches recording slot");
-                stack
-                    .host
-                    .invoke(stack.session, cmd::RUN, &[])
-                    .expect("replay of vetted recording succeeds")
+                replay_once(stack, &input_lanes[0]).0
             } else {
-                let mut run_payload = (b as u32).to_le_bytes().to_vec();
-                for lane in &input_lanes {
-                    run_payload.extend_from_slice(lane);
-                }
                 stack
                     .host
-                    .invoke(stack.session, cmd::RUN_BATCH, &run_payload)
+                    .invoke(stack.session, cmd::RUN_BATCH, &batch_payload(&input_lanes))
                     .expect("batched replay of vetted recording succeeds")
             };
             (
@@ -1211,80 +1224,49 @@ fn serve_batch(
             )
         }
         ServiceMode::Profiled => {
-            let svc = if b == 1 {
-                if worker.loaded_model != Some(head.model) {
-                    let fetch = match registry.fetch(spec, &worker.sku) {
-                        Ok(f) => f,
-                        Err(_) => {
-                            metrics.failed += 1;
-                            worker.inflight -= 1;
-                            return ServeOutcome::Failed;
-                        }
-                    };
-                    let profile = *profiles
-                        .entry((head.model, worker.sku.gpu_id))
-                        .or_insert_with(|| {
-                            let mw =
-                                weights[head.model].get_or_insert_with(|| workload_weights(spec));
-                            measure_profile(spec, &worker.sku, &fetch, mw)
-                        });
-                    let mut svc = profile.load + profile.first_replay;
-                    if let Some(delay) = fetch.cold_start_delay {
-                        // Cold-start record delays are always real (the
-                        // registry actually recorded), never modeled.
-                        svc += delay;
-                        cold_start = true;
-                    }
-                    worker.provenance = Some(Rc::clone(&fetch.provenance));
-                    worker.lint_json = Some(fetch.lint.to_json());
-                    worker.loaded_model = Some(head.model);
-                    worker.loads += 1;
-                    svc
-                } else {
+            let key = (head.model, worker.sku.gpu_id);
+            let svc = match &fetch {
+                // A staged model's scalar interval: one profile lookup.
+                None => {
                     profiles
-                        .get(&(head.model, worker.sku.gpu_id))
+                        .get(&key)
                         .expect("staged model was profiled at load")
                         .warm_replay
                 }
-            } else {
-                // The batch probe needs the recording either way; for a
-                // staged model the fetch is a registry hit (unless the
-                // entry was evicted, in which case the re-record is real
-                // and charged below like any cold start).
-                let switch = worker.loaded_model != Some(head.model);
-                let fetch = match registry.fetch(spec, &worker.sku) {
-                    Ok(f) => f,
-                    Err(_) => {
-                        metrics.failed += b as u64;
-                        worker.inflight -= 1;
-                        return ServeOutcome::Failed;
+                Some(fetch) => {
+                    let mw = weights[head.model].get_or_insert_with(|| workload_weights(spec));
+                    let profile = *profiles
+                        .entry(key)
+                        .or_insert_with(|| measure_profile(spec, &worker.sku, fetch, mw));
+                    if profiled_batch {
+                        let warm = *batch_profiles.entry((key.0, key.1, b)).or_insert_with(|| {
+                            measure_batch_profile(spec, &worker.sku, fetch, mw, b)
+                        });
+                        // On a switch, staging plus the cold-first-replay
+                        // penalty ride on the warm batched duration.
+                        if switch {
+                            warm + (profile.load
+                                + profile.first_replay.saturating_sub(profile.warm_replay))
+                        } else {
+                            warm
+                        }
+                    } else {
+                        profile.load + profile.first_replay
                     }
-                };
-                let mw = weights[head.model].get_or_insert_with(|| workload_weights(spec));
-                let profile = *profiles
-                    .entry((head.model, worker.sku.gpu_id))
-                    .or_insert_with(|| measure_profile(spec, &worker.sku, &fetch, mw));
-                let mut svc = *batch_profiles
-                    .entry((head.model, worker.sku.gpu_id, b))
-                    .or_insert_with(|| measure_batch_profile(spec, &worker.sku, &fetch, mw, b));
-                if switch {
-                    // Staging plus the cold-first-replay penalty, on top
-                    // of the warm batched-replay duration.
-                    svc += profile.load + profile.first_replay.saturating_sub(profile.warm_replay);
-                    worker.loads += 1;
                 }
-                if let Some(delay) = fetch.cold_start_delay {
-                    svc += delay;
-                    cold_start = true;
-                }
-                worker.provenance = Some(Rc::clone(&fetch.provenance));
-                worker.lint_json = Some(fetch.lint.to_json());
-                worker.loaded_model = Some(head.model);
-                svc
             };
-            (svc, Payload::Modeled)
+            (svc + cold_delay.unwrap_or(SimTime::ZERO), Payload::Modeled)
         }
     };
+
+    // 4. What a fetch updates: the staged model, the attestation context
+    // its receipts chain to, and (on a switch) the load count.
+    if let Some(fetch) = fetch {
+        worker.provenance = Some(fetch.provenance);
+        worker.lint_json = Some(fetch.lint.to_json());
+        worker.loaded_model = Some(head.model);
+        worker.loads += u64::from(switch);
+    }
 
     let mut service = raw_service;
     if let Some(p) = plan {
@@ -1384,7 +1366,7 @@ fn serve_batch(
                 queue_wait: start - req.arrival,
                 service,
                 total: end - req.arrival,
-                cold_start,
+                cold_start: cold_delay.is_some(),
             })
             .collect(),
         batch_service: service,

@@ -30,7 +30,6 @@ use grt_lint::{LintReport, Linter};
 use grt_ml::NetworkSpec;
 use grt_net::NetConditions;
 use grt_replay::client::{recording_trust_root, PROVISIONING_SECRET};
-use grt_replay::compiled::CompiledRecording;
 use grt_sim::{FaultPlan, SimTime};
 use std::rc::Rc;
 
@@ -92,17 +91,6 @@ pub struct RegistryStats {
     /// Recordings statically analyzed at insert (once per insert; the
     /// verdict is cached with the entry).
     pub linted_inserts: u64,
-    /// Recordings lowered into their compiled replay form at insert (once
-    /// per insert; the compiled form is cached with the entry, so fetches
-    /// never pay parse/validate/decompress again — DESIGN.md §9).
-    pub compiled_inserts: u64,
-    /// Superinstruction chains fused across all compiled inserts
-    /// (DESIGN.md §15): every fetch of those entries replays with the
-    /// cached fusion plan.
-    pub fused_chains: u64,
-    /// Job dialog windows (absorbed tails + identity copies) elided from
-    /// the warm path across all compiled inserts.
-    pub fused_jobs_elided: u64,
     /// Recordings refused because static analysis found a rule violation.
     pub lint_rejections: u64,
     /// Provenance records built and signed at insert (one per entry).
@@ -135,9 +123,6 @@ impl RegistryStats {
         self.evictions += other.evictions;
         self.verified_inserts += other.verified_inserts;
         self.linted_inserts += other.linted_inserts;
-        self.compiled_inserts += other.compiled_inserts;
-        self.fused_chains += other.fused_chains;
-        self.fused_jobs_elided += other.fused_jobs_elided;
         self.lint_rejections += other.lint_rejections;
         self.provenance_records += other.provenance_records;
         self.provenance_rejections += other.provenance_rejections;
@@ -148,24 +133,17 @@ impl RegistryStats {
 
 /// Everything a cold-start record run produces for one cache insert:
 /// the signed recording, its weight-slot count, the lint verdict, the
-/// compiled replay form, the signed provenance record, and the virtual
-/// time the run took.
+/// signed provenance record, and the virtual time the run took.
 type ColdRecord = (
     Rc<SignedRecording>,
     usize,
     Rc<LintReport>,
-    Rc<CompiledRecording>,
     Rc<ProvenanceRecord>,
     SimTime,
 );
 
 /// What insert-time vetting produces for one entry.
-type Vetted = (
-    usize,
-    Rc<LintReport>,
-    Rc<CompiledRecording>,
-    Rc<ProvenanceRecord>,
-);
+type Vetted = (usize, Rc<LintReport>, Rc<ProvenanceRecord>);
 
 /// What a fetch returned.
 #[derive(Debug, Clone)]
@@ -178,9 +156,6 @@ pub struct FetchOutcome {
     /// static analysis (always `passed()` — failing recordings never
     /// enter the cache).
     pub lint: Rc<LintReport>,
-    /// The recording lowered once at insert for the fast replay path
-    /// (shared; warm replays use this directly).
-    pub compiled: Rc<CompiledRecording>,
     /// The signed provenance record built (or accepted) at insert; fleet
     /// devices chain their replay receipts to it.
     pub provenance: Rc<ProvenanceRecord>,
@@ -205,8 +180,6 @@ struct Entry {
     weight_slots: usize,
     /// Insert-time lint report, handed out with every fetch.
     lint: Rc<LintReport>,
-    /// Insert-time compiled form, handed out with every fetch.
-    compiled: Rc<CompiledRecording>,
     /// Insert-time signed provenance record, handed out with every fetch.
     provenance: Rc<ProvenanceRecord>,
     last_used: u64,
@@ -218,7 +191,6 @@ impl Entry {
             recording: Rc::clone(&self.recording),
             weight_slots: self.weight_slots,
             lint: Rc::clone(&self.lint),
-            compiled: Rc::clone(&self.compiled),
             provenance: Rc::clone(&self.provenance),
             cold_start_delay,
         }
@@ -252,7 +224,6 @@ impl Shard {
         recording: Rc<SignedRecording>,
         weight_slots: usize,
         lint: Rc<LintReport>,
-        compiled: Rc<CompiledRecording>,
         provenance: Rc<ProvenanceRecord>,
     ) {
         if self.entries.len() >= self.capacity {
@@ -273,7 +244,6 @@ impl Shard {
             recording,
             weight_slots,
             lint,
-            compiled,
             provenance,
             last_used: self.tick,
         });
@@ -356,7 +326,7 @@ impl RecordingRegistry {
             return Ok(e.outcome(None));
         }
         shard.stats.misses += 1;
-        let (recording, weight_slots, lint, compiled, provenance, delay) = record_cold(
+        let (recording, weight_slots, lint, provenance, delay) = record_cold(
             &self.cfg,
             &mut shard.stats,
             &mut shard.record_time,
@@ -368,14 +338,12 @@ impl RecordingRegistry {
             Rc::clone(&recording),
             weight_slots,
             Rc::clone(&lint),
-            Rc::clone(&compiled),
             Rc::clone(&provenance),
         );
         Ok(FetchOutcome {
             recording,
             weight_slots,
             lint,
-            compiled,
             provenance,
             cold_start_delay: Some(delay),
         })
@@ -393,7 +361,7 @@ impl RecordingRegistry {
             return Ok(());
         }
         let mut warm_stats = shard.stats;
-        let (recording, weight_slots, lint, compiled, provenance, _) = record_cold(
+        let (recording, weight_slots, lint, provenance, _) = record_cold(
             &self.cfg,
             &mut warm_stats,
             &mut shard.record_time,
@@ -401,7 +369,7 @@ impl RecordingRegistry {
             sku,
         )?;
         shard.stats = warm_stats;
-        shard.insert(key, recording, weight_slots, lint, compiled, provenance);
+        shard.insert(key, recording, weight_slots, lint, provenance);
         Ok(())
     }
 
@@ -472,21 +440,14 @@ impl RecordingRegistry {
             shard.stats.provenance_rejections += 1;
             return Err(provenance_err(VerifyError::MissingProvenance));
         };
-        let (weight_slots, lint, compiled, _local) = vet(&mut shard.stats, spec, sku, &recording)?;
+        let (weight_slots, lint, _local) = vet(&mut shard.stats, spec, sku, &recording)?;
         if let Err(e) = check_shipped_provenance(&prov, spec, sku, &recording, &lint) {
             shard.stats.provenance_rejections += 1;
             return Err(provenance_err(e));
         }
         let key = (spec.name.to_owned(), sku.gpu_id);
         shard.entries.retain(|e| e.key != key);
-        shard.insert(
-            key,
-            Rc::new(recording),
-            weight_slots,
-            lint,
-            compiled,
-            Rc::new(prov),
-        );
+        shard.insert(key, Rc::new(recording), weight_slots, lint, Rc::new(prov));
         Ok(())
     }
 
@@ -526,7 +487,7 @@ fn record_cold(
         session.attach_faults(plan);
     }
     let out = session.record(spec)?;
-    let (weight_slots, lint, compiled, provenance) = vet(stats, spec, sku, &out.recording)?;
+    let (weight_slots, lint, provenance) = vet(stats, spec, sku, &out.recording)?;
     stats.record_retries += out.link_retries;
     stats.checkpoint_resumes += out.checkpoint_resumes;
     *record_time += out.delay;
@@ -534,7 +495,6 @@ fn record_cold(
         Rc::new(out.recording),
         weight_slots,
         lint,
-        compiled,
         provenance,
         out.delay,
     ))
@@ -544,7 +504,9 @@ fn record_cold(
 /// signature or static analysis never enters the cache (and would be
 /// refused again in every TEE). The registry has the `NetworkSpec` in
 /// hand, so its lint is *stricter* than the replayer's gate: R4/R6
-/// also check shapes and layer counts against the spec.
+/// also check shapes and layer counts against the spec. The registry
+/// never lowers: each TEE's own `LOAD_RECORDING` verifies, vets and
+/// lowers the bytes it runs, and a recording that lints clean lowers.
 fn vet(
     stats: &mut RegistryStats,
     spec: &NetworkSpec,
@@ -555,11 +517,7 @@ fn vet(
         .verify_and_parse(&recording_trust_root())
         .ok_or(RecordError::Attestation)?;
     stats.verified_inserts += 1;
-    // Lift the recording to the semantics IR exactly once: the static
-    // analysis proves R1-R9 over it, and the compiled form lowers from
-    // it — both consume the same decode of the same bytes.
-    let ir = grt_ir::lift_recording(&parsed, sku.pte_quirk);
-    let report = Linter::new().lint_ir(&ir, sku, Some(spec));
+    let report = Linter::new().lint(&parsed, sku, Some(spec));
     stats.linted_inserts += 1;
     if let Some(d) = report.first_error() {
         stats.lint_rejections += 1;
@@ -568,21 +526,6 @@ fn vet(
             message: d.message.clone(),
         });
     }
-    // Lower once, cache beside the verdict (which carries the R9
-    // certified budget): the compiled form reproduces the linted
-    // recording event-for-event, so the R1-R9 verdict carries over to
-    // every replay of it.
-    let recording_digest = Sha256::digest(&recording.bytes);
-    let compiled = grt_replay::compiled::lower(ir, recording_digest, true).map_err(|e| {
-        RecordError::Rejected {
-            rule: "compile".to_owned(),
-            message: e.to_string(),
-        }
-    })?;
-    stats.compiled_inserts += 1;
-    let fusion = compiled.fusion_summary();
-    stats.fused_chains += fusion.chains_fused as u64;
-    stats.fused_jobs_elided += fusion.jobs_elided as u64;
     // Sign the provenance record binding the recording bytes, the SKU,
     // and the lint verdict together; fleet devices chain their replay
     // receipts to it and auditors verify against the registry export.
@@ -590,17 +533,12 @@ fn vet(
         "registry",
         spec.name,
         sku.gpu_id,
-        recording_digest,
+        Sha256::digest(&recording.bytes),
         Sha256::digest(report.to_json().as_bytes()),
         PROVISIONING_SECRET,
     );
     stats.provenance_records += 1;
-    Ok((
-        parsed.weights.len(),
-        Rc::new(report),
-        Rc::new(compiled),
-        Rc::new(provenance),
-    ))
+    Ok((parsed.weights.len(), Rc::new(report), Rc::new(provenance)))
 }
 
 /// Maps a provenance verification failure into the registry's typed
@@ -860,40 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_form_is_cached_with_the_entry() {
-        let mut r = registry(4);
-        let spec = grt_ml::zoo::mnist();
-        let sku = GpuSku::mali_g71_mp8();
-        let first = r.fetch(&spec, &sku).unwrap();
-        assert!(first.compiled.num_events() > 0);
-        assert_eq!(first.compiled.workload, spec.name);
-        let second = r.fetch(&spec, &sku).unwrap();
-        // Lowered once and shared, like the recording and the verdict.
-        assert!(Rc::ptr_eq(&first.compiled, &second.compiled));
-        assert_eq!(r.stats().compiled_inserts, 1);
-    }
-
-    #[test]
-    fn fusion_plan_is_cached_with_the_entry() {
-        let mut r = registry(4);
-        let spec = grt_ml::zoo::mnist();
-        let sku = GpuSku::mali_g71_mp8();
-        let first = r.fetch(&spec, &sku).unwrap();
-        // The insert-time lowering fused chains, and the cached compiled
-        // form carries the plan — every subsequent fetch (which shares
-        // the same Rc) replays fused without re-analysis.
-        let summary = first.compiled.fusion_summary();
-        assert!(summary.chains_fused > 0);
-        assert!(!first.compiled.fusion_plan().is_empty());
-        assert_eq!(r.stats().fused_chains, summary.chains_fused as u64);
-        assert_eq!(r.stats().fused_jobs_elided, summary.jobs_elided as u64);
-        let second = r.fetch(&spec, &sku).unwrap();
-        assert!(Rc::ptr_eq(&first.compiled, &second.compiled));
-        // Fetches never re-lower, so the fusion counters are per insert.
-        assert_eq!(r.stats().fused_chains, summary.chains_fused as u64);
-    }
-
-    #[test]
     fn insert_refuses_recording_that_fails_lint() {
         use grt_ir::recording::Event;
         let mut r = registry(4);
@@ -1014,6 +918,8 @@ mod tests {
         assert_eq!(f.provenance.recorder, "registry");
         assert_eq!(f.provenance.workload, spec.name);
         assert_eq!(f.provenance.gpu_id, sku.gpu_id);
+        // The digest each TEE computes over the bytes it loads, which its
+        // receipts carry.
         assert_eq!(
             f.provenance.recording_digest,
             Sha256::digest(&f.recording.bytes)
@@ -1022,8 +928,6 @@ mod tests {
             f.provenance.lint_digest,
             Sha256::digest(f.lint.to_json().as_bytes())
         );
-        // The compiled form carries the same digest the receipts will.
-        assert_eq!(f.compiled.recording_digest(), f.provenance.recording_digest);
         assert_eq!(r.stats().provenance_records, 1);
     }
 

@@ -10,8 +10,6 @@
 //! The crate provides:
 //!
 //! - [`SimTime`] / [`Clock`] — nanosecond-resolution virtual time.
-//! - [`EventQueue`] — a priority queue of future events (GPU job completion,
-//!   interrupt delivery, flush state machines).
 //! - [`Rng`] — a small deterministic PRNG (splitmix64 seeded xoshiro256**) so
 //!   no experiment depends on OS entropy.
 //! - [`EnergyMeter`] — power-state integration over the timeline, standing in
@@ -22,23 +20,22 @@
 //!   faults (loss bursts, RTT spikes, partitions, device crashes,
 //!   slowdowns) that the network and fleet layers consult on the virtual
 //!   clock during chaos experiments.
+//!
+//! It holds no event queue: each event source keeps its own, the GPU model
+//! its pending interrupts and the fleet scheduler its heap of due devices.
 
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod energy;
-pub mod event;
 pub mod fault;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use clock::Clock;
 pub use energy::{EnergyMeter, Rail};
-pub use event::EventQueue;
 pub use fault::{Crash, FaultPlan, FaultPlanConfig, LossBurst, RttSpike, Slowdown, Window};
 pub use rng::Rng;
 pub use stats::Stats;
 pub use time::SimTime;
-pub use trace::Trace;

@@ -91,8 +91,8 @@ cargo run --release -q -p grt-bench --bin recording-lint -- --record-golden "$GO
 # regenerates the file in the same change and says so:
 #   (cd "$GOLDEN_DIR" && sha256sum *.grt) > scripts/golden_recordings.sha256
 echo "==> golden corpus bytes: sha256sum -c scripts/golden_recordings.sha256"
-GOLDEN_SUMS="$(pwd)/scripts/golden_recordings.sha256"
-(cd "$GOLDEN_DIR" && sha256sum -c --quiet "$GOLDEN_SUMS") || {
+SUMS_DIR="$(pwd)/scripts"
+(cd "$GOLDEN_DIR" && sha256sum -c --quiet "$SUMS_DIR/golden_recordings.sha256") || {
     echo "ci: golden recordings differ from scripts/golden_recordings.sha256" >&2
     exit 1
 }
@@ -132,6 +132,15 @@ cargo test -q --release --test fault_injection chaos_soak
 echo "==> fault-plan determinism: two identical faulted serve_bench runs"
 cargo run --release -q -p grt-bench --bin serve_bench -- 120 42 --fault-plan 7 \
     > "$GOLDEN_DIR/faulted_a.json"
+# Cross-commit gate: the faulted serve report must also be byte-identical
+# to the checked-in digest, so a refactor that claims to leave serving
+# accounting alone is checked. A change that alters the report on purpose
+# regenerates the file in the same change and says so:
+#   (cd "$GOLDEN_DIR" && sha256sum faulted_a.json) > scripts/faulted_serve.sha256
+(cd "$GOLDEN_DIR" && sha256sum -c --quiet "$SUMS_DIR/faulted_serve.sha256") || {
+    echo "ci: faulted serve_bench output differs from scripts/faulted_serve.sha256" >&2
+    exit 1
+}
 cargo run --release -q -p grt-bench --bin serve_bench -- 120 42 --fault-plan 7 \
     > "$GOLDEN_DIR/faulted_b.json"
 cmp "$GOLDEN_DIR/faulted_a.json" "$GOLDEN_DIR/faulted_b.json" || {
@@ -158,6 +167,12 @@ if [ "$FLEET_ELAPSED" -gt 150 ]; then
     exit 1
 fi
 echo "    fleet-scale pass: ${FLEET_ELAPSED}s for 10^6 requests over 1000 devices"
+# Cross-commit gate, as for the faulted run; regenerate with
+#   (cd "$GOLDEN_DIR" && sha256sum fleet_a.json) > scripts/fleet_serve.sha256
+(cd "$GOLDEN_DIR" && sha256sum -c --quiet "$SUMS_DIR/fleet_serve.sha256") || {
+    echo "ci: fleet-scale serve_bench output differs from scripts/fleet_serve.sha256" >&2
+    exit 1
+}
 cargo run --release -q -p grt-bench --bin serve_bench -- --fleet 1000 --requests 1000000 \
     > "$GOLDEN_DIR/fleet_b.json"
 cmp "$GOLDEN_DIR/fleet_a.json" "$GOLDEN_DIR/fleet_b.json" || {
@@ -279,6 +294,12 @@ done
 # export, and confirm that a tampered receipt is rejected.
 echo "==> attestation gate: receipt round-trip + tamper rejection"
 cargo run --release -q -p grt-bench --bin receipt-verify -- --emit "$GOLDEN_DIR/rcpt_a"
+# Cross-commit gate over every receipt and the export; regenerate with
+#   (cd "$GOLDEN_DIR/rcpt_a" && sha256sum *.receipt export.bin) > scripts/receipts.sha256
+(cd "$GOLDEN_DIR/rcpt_a" && sha256sum -c --quiet "$SUMS_DIR/receipts.sha256") || {
+    echo "ci: receipt corpus differs from scripts/receipts.sha256" >&2
+    exit 1
+}
 cargo run --release -q -p grt-bench --bin receipt-verify -- --emit "$GOLDEN_DIR/rcpt_b"
 diff -r "$GOLDEN_DIR/rcpt_a" "$GOLDEN_DIR/rcpt_b" || {
     echo "ci: receipt emission is nondeterministic" >&2

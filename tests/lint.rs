@@ -429,8 +429,10 @@ fn replayer_refuses_what_the_analyzer_rejects() {
     assert!(matches!(err, ReplayError::Rejected { ref rule, .. } if rule == "R1"));
 }
 
-/// The serving registry refuses the same recording at insert time, before
-/// any device would ever fetch it.
+/// The serving registry refuses the same recordings at insert time, before
+/// any device would ever fetch them. It does not lower, so for the
+/// undecodable empty delta its lint is what keeps the recording away from
+/// every device's `LOAD_RECORDING`.
 #[test]
 fn registry_refuses_what_the_analyzer_rejects() {
     use grt_core::session::RecordError;
@@ -441,26 +443,89 @@ fn registry_refuses_what_the_analyzer_rejects() {
     let sku = GpuSku::mali_g71_mp8();
     let good = registry.fetch(&spec, &sku).expect("cold-start record");
     let key = recording_trust_root();
-    let mut rec = good.recording.verify_and_parse(&key).unwrap();
-    rec.events.push(Event::RegWrite {
-        offset: 0x4000,
-        value: 0xDEAD,
+    let mutations = [
+        (
+            "R1",
+            (|rec| {
+                rec.events.push(Event::RegWrite {
+                    offset: 0x4000,
+                    value: 0xDEAD,
+                })
+            }) as fn(&mut Recording),
+        ),
+        ("R2", push_undecodable_empty_delta),
+    ];
+    for (expected, mutate) in mutations {
+        let mut rec = good.recording.verify_and_parse(&key).unwrap();
+        mutate(&mut rec);
+        let evil = SignedRecording::sign(&rec, &key);
+        // Ship it with a well-formed provenance record: the refusal below
+        // must come from static analysis, not from the provenance gate.
+        let prov = grt_attest::ProvenanceRecord::build(
+            "external",
+            spec.name,
+            sku.gpu_id,
+            grt_crypto::Sha256::digest(&evil.bytes),
+            [0u8; 32],
+            grt_replay::client::PROVISIONING_SECRET,
+        );
+        let err = registry
+            .insert_signed(&spec, &sku, evil, Some(prov))
+            .unwrap_err();
+        assert!(matches!(err, RecordError::Rejected { ref rule, .. } if rule == expected));
+    }
+}
+
+/// A zero-length metastate delta whose payload does not decode: the
+/// region is empty, but the replayer's lowering still refuses it.
+fn push_undecodable_empty_delta(rec: &mut Recording) {
+    rec.events.push(Event::LoadMemDelta {
+        pa: 0x1000,
+        len: 0,
+        delta: vec![1, 2, 3],
     });
-    let evil = SignedRecording::sign(&rec, &key);
-    // Ship it with a well-formed provenance record: the refusal below must
-    // come from static analysis, not from the provenance gate.
-    let prov = grt_attest::ProvenanceRecord::build(
-        "external",
-        spec.name,
-        sku.gpu_id,
-        grt_crypto::Sha256::digest(&evil.bytes),
-        [0u8; 32],
-        grt_replay::client::PROVISIONING_SECRET,
-    );
-    let err = registry
-        .insert_signed(&spec, &sku, evil, Some(prov))
-        .unwrap_err();
-    assert!(matches!(err, RecordError::Rejected { ref rule, .. } if rule == "R1"));
+}
+
+/// The condition code and iteration budget of `rec`'s first poll.
+fn first_poll(rec: &mut Recording) -> (&mut u8, &mut u32) {
+    rec.events
+        .iter_mut()
+        .find_map(|e| match e {
+            Event::Poll {
+                cond, max_iters, ..
+            } => Some((cond, max_iters)),
+            _ => None,
+        })
+        .expect("a poll")
+}
+
+/// Lint-clean implies lowerable: every encoding the replayer's lowering
+/// refuses (an undecodable delta, even over an empty region, an undefined
+/// poll condition, a zero poll budget, an undefined interrupt line) is
+/// also an Error under the rule that owns it, so no recording the gate
+/// admits can fail to load past it.
+#[test]
+fn lint_refuses_everything_lowering_refuses() {
+    use grt_replay::compiled::lower;
+    let mutations = [
+        (
+            Rule::R2PageTableReachability,
+            push_undecodable_empty_delta as fn(&mut Recording),
+        ),
+        (Rule::R3Termination, |rec| *first_poll(rec).0 = 7),
+        (Rule::R3Termination, |rec| *first_poll(rec).1 = 0),
+        (Rule::R3Termination, |rec| {
+            rec.events.push(Event::WaitIrq { line: 9 })
+        }),
+    ];
+    let sku = GpuSku::mali_g71_mp8();
+    for (rule, mutate) in mutations {
+        let mut rec = mnist_recording();
+        mutate(&mut rec);
+        assert_trips_exactly(&rec, rule);
+        let lowered = lower(grt_ir::lift_recording(&rec, sku.pte_quirk), [0; 32], true);
+        assert!(lowered.is_err(), "{} mutation lowers", rule.id());
+    }
 }
 
 /// No false positives: every zoo network's golden recording lints clean —

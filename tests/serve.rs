@@ -638,3 +638,100 @@ fn schedulers_agree_with_batching() {
     );
     assert_schedulers_agree("batched", &[grt_ml::zoo::mnist()], &cfg, &trace, None);
 }
+
+// ---------------------------------------------------------------------
+// Accounting pins: the SHA-256 of the full `ServeReport` JSON for three
+// small fleets, one per way `serve_batch` fetches, stages and charges an
+// interval. A change that moves where those decisions are made must leave
+// every byte of every report alone.
+// ---------------------------------------------------------------------
+
+/// Two distinct registry keys over the same tiny network, so one device
+/// switches models without paying full-size record and replay times.
+fn two_tiny_models() -> Vec<grt_ml::NetworkSpec> {
+    vec![
+        tiny_spec(),
+        grt_ml::NetworkSpec {
+            name: "DIFF-TINY-B",
+            ..tiny_spec()
+        },
+    ]
+}
+
+/// Runs a saturating two-model trace through `cfg` and returns the hex
+/// SHA-256 of the report JSON, with the report for structural checks.
+fn report_digest(cfg: FleetConfig, requests: usize) -> (String, grt_serve::ServeReport) {
+    let models = two_tiny_models();
+    let trace = generate_trace(
+        models.len(),
+        &TraceConfig {
+            mean_interarrival: SimTime::from_micros(300),
+            zipf_exponent: 0.3,
+            ..TraceConfig::new(requests, 29)
+        },
+    );
+    let report = Fleet::new(models, cfg).run(&trace);
+    let digest = grt_crypto::Sha256::digest(report.to_json().as_bytes());
+    (grt_crypto::Sha256::to_hex(&digest), report)
+}
+
+/// Real replays through the GP protocol, one device switching models.
+#[test]
+fn replay_mode_report_is_pinned() {
+    let cfg = FleetConfig {
+        queue_capacity: 64,
+        ..FleetConfig::new(vec![GpuSku::mali_g71_mp8()])
+    };
+    let (digest, report) = report_digest(cfg, 24);
+    assert_eq!(report.completed, 24);
+    assert!(report.per_device[0].loads > 2, "the device switches models");
+    assert_eq!(
+        digest,
+        "42cc1eecdbfad45b7fe67e2137dd34b82f56de72c5036e3b688b9a5d4d5fd5f2"
+    );
+}
+
+/// Profiled scalar service: fetch on a switch, the single profile lookup
+/// otherwise.
+#[test]
+fn profiled_scalar_report_is_pinned() {
+    let cfg = FleetConfig {
+        queue_capacity: 64,
+        ..FleetConfig::new(vec![GpuSku::mali_g71_mp8(), GpuSku::mali_g71_mp4()])
+    }
+    .with_service_mode(ServiceMode::Profiled);
+    let (digest, report) = report_digest(cfg, 60);
+    assert_eq!(report.completed, 60);
+    assert!(report.per_device.iter().map(|d| d.loads).sum::<u64>() > 2);
+    assert_eq!(
+        digest,
+        "4d5c15574f16fbb894008aaaf5e19331ad53dd477d0165dd205be112615b79c8"
+    );
+}
+
+/// Profiled batched service fetches on every batch. A one-entry registry
+/// shared by two devices on two models evicts mid-run, so a device's
+/// fetch for its already-staged model can miss and re-record.
+#[test]
+fn profiled_batched_report_is_pinned() {
+    let mut cfg = FleetConfig {
+        queue_capacity: 64,
+        ..FleetConfig::new(vec![GpuSku::mali_g71_mp8(), GpuSku::mali_g71_mp8()])
+    }
+    .with_service_mode(ServiceMode::Profiled)
+    .with_max_batch(4);
+    cfg.registry.capacity = 1;
+    let (digest, report) = report_digest(cfg, 80);
+    assert_eq!(report.completed, 80);
+    assert!(report.batches > 0);
+    assert!(report.cache_evictions > 0);
+    let loads: u64 = report.per_device.iter().map(|d| d.loads).sum();
+    assert!(
+        report.cache_misses > loads,
+        "some miss re-recorded a model its device already had staged"
+    );
+    assert_eq!(
+        digest,
+        "02562a19120c44641f1d961adbd182490387f739518b355520f46cfeabadf23a"
+    );
+}
