@@ -218,24 +218,31 @@ fn bench_mem() {
     bench("mem/clone_96MiB", 50, None, || mem.clone());
 }
 
-/// One ResNet12 block conv (32 channels in and out, 32×32, 3×3, pad 1)
-/// over eight inputs: eight scalar jobs against one job of eight lanes.
-/// Both run the whole job program, translations and copies included.
+/// Two 32-channel 3×3 pad-1 convs over eight inputs each: eight scalar
+/// jobs against one job of eight lanes. At 32×32 it is a ResNet12 block
+/// conv; at 8×8 the late-stage ResNet12/AlexNet shape, where 28 of the
+/// 64 output pixels touch the border. Both run the whole job program,
+/// translations and copies included.
 fn bench_kernels() {
+    for hw in [32, 8] {
+        bench_conv(ConvParams {
+            in_c: 32,
+            in_h: hw,
+            in_w: hw,
+            out_c: 32,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        });
+    }
+}
+
+fn bench_conv(p: ConvParams) {
     const IN_VA: u64 = 0x1_0000;
     const W_VA: u64 = 0x4_0000;
     const B_VA: u64 = 0x5_0000;
     const OUT_VA: u64 = 0x6_0000;
     const SHADER_VA: u64 = 0x9_0000;
-    let p = ConvParams {
-        in_c: 32,
-        in_h: 32,
-        in_w: 32,
-        out_c: 32,
-        k: 3,
-        stride: 1,
-        pad: 1,
-    };
     let op = ShaderOp::Conv2d {
         in_va: IN_VA,
         w_va: W_VA,
@@ -301,12 +308,13 @@ fn bench_kernels() {
         )
         .unwrap()
     };
-    bench("kernels/conv_32x32x32_k3_scalar_x8", 20, None, || {
+    let shape = format!("kernels/conv_{}x{}x{}_k3", p.in_c, p.in_h, p.in_w);
+    bench(&format!("{shape}_scalar_x8"), 20, None, || {
         for lane in lanes.iter_mut() {
             run(&mut [lane]);
         }
     });
-    bench("kernels/conv_32x32x32_k3_lanes8", 20, None, || {
+    bench(&format!("{shape}_lanes8"), 20, None, || {
         run(&mut lanes.iter_mut().collect::<Vec<_>>());
     });
 }

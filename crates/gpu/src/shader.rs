@@ -652,6 +652,8 @@ pub struct ExecScratch {
     lane_bias: Vec<f32>,
     /// The conv `lane_out` holds.
     lane_conv: Option<ShaderOp>,
+    /// Conv weights regrouped into output-channel blocks (`conv2d_blocked`).
+    wblk: Vec<f32>,
     /// The running lane's chunk slot, until its first conv head.
     lane_slot: Option<usize>,
     /// The TLB `conv_ahead` reads through, apart from the job's.
@@ -1006,12 +1008,13 @@ fn conv_ahead<M: Deref<Target = Memory>>(
         .lane_out
         .resize((p.out_c * p.out_h() * p.out_w()) as usize * LANES, 0.0);
     let bias = (b_va != 0).then_some(scratch.lane_bias.as_slice());
-    conv2d_blocked::<LANES>(
+    conv2d_blocked::<LANES, LANE_OC_BLOCK>(
         &scratch.lane_in,
         &scratch.lane_w,
         bias,
         &mut scratch.lane_out,
         &p,
+        &mut scratch.wblk,
     );
     scratch.lane_conv = Some(op);
 }
@@ -1087,28 +1090,6 @@ fn check_tiles(tiles: u32, present: u32) -> Result<(), ShaderFault> {
     }
 }
 
-/// For one output axis, the `[lo, hi)` range of output coordinates whose
-/// full k-window lies inside the input (no clamping needed) — the
-/// interior of the interior/border split.
-fn interior_range(
-    out_dim: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    in_dim: usize,
-) -> (usize, usize) {
-    // Smallest o with o*stride - pad >= 0.
-    let lo = pad.div_ceil(stride);
-    // Largest o with o*stride - pad + k <= in_dim, plus one.
-    let hi = if in_dim + pad >= k {
-        (in_dim + pad - k) / stride + 1
-    } else {
-        0
-    };
-    let lo = lo.min(out_dim);
-    (lo, hi.clamp(lo, out_dim))
-}
-
 /// Clamped kernel-coordinate range for output coordinate `o`: exactly the
 /// iterations the scalar engine's bounds check would not `continue` past.
 fn kernel_range(o: usize, k: usize, stride: usize, pad: usize, in_dim: usize) -> (usize, usize) {
@@ -1118,75 +1099,87 @@ fn kernel_range(o: usize, k: usize, stride: usize, pad: usize, in_dim: usize) ->
     (lo, hi.max(lo))
 }
 
-/// Blocked conv kernel with hoisted bounds checks, run on `L` inputs at
-/// once that share one set of weights and bias: `L = 1` is the scalar
-/// kernel, `L = LANES` the lane-major one.
+/// Output channels per pixel pass of the scalar conv kernel.
+pub const OC_BLOCK: usize = 16;
+/// Output channels per pixel pass of the lane-major conv kernel.
+pub const LANE_OC_BLOCK: usize = 8;
+
+/// Blocked conv kernel, run on `L` inputs at once that share one set of
+/// weights and bias, `B` output channels at a time: `<1, OC_BLOCK>` is
+/// the scalar kernel, `<LANES, LANE_OC_BLOCK>` the lane-major one.
 ///
 /// `input` is `[ic][iy][ix][lane]` and `out` is `[oc][oy][ox][lane]`,
-/// which for `L = 1` is plain CHW. The innermost loop runs over lanes, so
-/// each weight is loaded once for all of them and each lane keeps its own
-/// accumulator chain. Bit-identical to the scalar reference on every
-/// lane: per output element the accumulator starts at the bias and adds
-/// `input * weight` in ic → ky → kx order; the hoisted `kernel_range`
-/// skips exactly the out-of-bounds terms the scalar loop `continue`d past
+/// which for `L = 1` is plain CHW. The weights are first regrouped into
+/// `wblk` as `[oc / B][ic][ky][kx][B]`, zero past `out_c`, each block led
+/// by its `B` biases (zero without a bias). Each output pixel and channel
+/// block keeps `L × B` accumulators, one per (lane, channel), and each
+/// tap adds `input * weight` to all of them: independent chains over
+/// contiguous weights, so the loop vectorizes and no add waits on the one
+/// before it. Only valid channels are stored (DESIGN.md §10 has the why).
+///
+/// Bit-identical to the scalar reference on every lane: each output
+/// element is still one accumulator that starts at its bias and adds
+/// `input * weight` in ic → ky → kx order, with no fused multiply-add;
+/// blocking only interleaves independent chains. `kernel_range` skips
+/// exactly the out-of-bounds terms the scalar loop `continue`d past
 /// (which contribute nothing), so the FP addition sequence is unchanged.
-fn conv2d_blocked<const L: usize>(
+#[allow(clippy::needless_range_loop)] // The indexed loop is the fast one.
+fn conv2d_blocked<const L: usize, const B: usize>(
     input: &[f32],
     weights: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
     p: &ConvParams,
+    wblk: &mut Vec<f32>,
 ) {
     let (ic_n, ih, iw) = (p.in_c as usize, p.in_h as usize, p.in_w as usize);
-    let (oc_n, k, s, pad) = (
-        p.out_c as usize,
-        p.k as usize,
-        p.stride as usize,
-        p.pad as usize,
-    );
-    let (oh, ow) = (p.out_h() as usize, p.out_w() as usize);
-    let (ox_lo, ox_hi) = interior_range(ow, k, s, pad, iw);
+    let (oc_n, oh, ow) = (p.out_c as usize, p.out_h() as usize, p.out_w() as usize);
+    let (k, s, pad) = (p.k as usize, p.stride as usize, p.pad as usize);
+    let (taps, blk_len) = (ic_n * k * k, (ic_n * k * k + 1) * B);
+    wblk.clear();
+    wblk.resize(oc_n.div_ceil(B) * blk_len, 0.0);
     for oc in 0..oc_n {
-        let w_oc = &weights[oc * ic_n * k * k..(oc + 1) * ic_n * k * k];
-        let b0 = bias.map_or(0.0, |b| b[oc]);
-        let out_oc = &mut out[oc * oh * ow * L..(oc + 1) * oh * ow * L];
-        for oy in 0..oh {
-            let (ky_lo, ky_hi) = kernel_range(oy, k, s, pad, ih);
-            let iy_base = oy as i64 * s as i64 - pad as i64;
-            let row = &mut out_oc[oy * ow * L..(oy + 1) * ow * L];
-            let mut px = |ox: usize, kx_lo: usize, kx_hi: usize| {
-                let ix_base = (ox * s) as i64 - pad as i64;
-                let mut acc = [b0; L];
+        let blk = &mut wblk[oc / B * blk_len..(oc / B + 1) * blk_len];
+        blk[oc % B] = bias.map_or(0.0, |b| b[oc]);
+        for (t, &wv) in weights[oc * taps..(oc + 1) * taps].iter().enumerate() {
+            blk[(t + 1) * B + oc % B] = wv;
+        }
+    }
+    for oy in 0..oh {
+        let (ky_lo, ky_hi) = kernel_range(oy, k, s, pad, ih);
+        let iy_base = oy as i64 * s as i64 - pad as i64;
+        for ox in 0..ow {
+            let (kx_lo, kx_hi) = kernel_range(ox, k, s, pad, iw);
+            // The first in-bounds tap's column; with none, any in-bounds one.
+            let ix_lo = (ox * s + kx_lo).saturating_sub(pad).min(iw);
+            for oc0 in (0..oc_n).step_by(B) {
+                let live = B.min(oc_n - oc0);
+                let (b0, w_blk) = wblk[oc0 / B * blk_len..][..blk_len].split_at(B);
+                let mut acc = [<[f32; B]>::try_from(b0).unwrap(); L];
                 for ic in 0..ic_n {
                     let in_ch = &input[ic * ih * iw * L..(ic + 1) * ih * iw * L];
-                    let w_ic = &w_oc[ic * k * k..(ic + 1) * k * k];
+                    let w_ic = &w_blk[ic * k * k * B..(ic + 1) * k * k * B];
                     for ky in ky_lo..ky_hi {
-                        let iy = (iy_base + ky as i64) as usize;
-                        let in_row = &in_ch[iy * iw * L..(iy + 1) * iw * L];
-                        let w_row = &w_ic[ky * k..(ky + 1) * k];
-                        for (kx, &wv) in (kx_lo..kx_hi).zip(&w_row[kx_lo..kx_hi]) {
-                            let ix = (ix_base + kx as i64) as usize;
-                            for (a, &v) in acc.iter_mut().zip(&in_row[ix * L..(ix + 1) * L]) {
-                                *a += v * wv;
+                        let row = (iy_base + ky as i64) as usize * iw;
+                        let xs = &in_ch[(row + ix_lo) * L..(row + ix_lo + kx_hi - kx_lo) * L];
+                        let ws = &w_ic[(ky * k + kx_lo) * B..(ky * k + kx_hi) * B];
+                        for (v, w) in xs.chunks_exact(L).zip(ws.chunks_exact(B)) {
+                            let v: &[f32; L] = v.try_into().unwrap();
+                            let w: &[f32; B] = w.try_into().unwrap();
+                            for l in 0..L {
+                                for b in 0..B {
+                                    acc[l][b] += v[l] * w[b];
+                                }
                             }
                         }
                     }
                 }
-                row[ox * L..(ox + 1) * L].copy_from_slice(&acc);
-            };
-            // Left border: clamped kx ranges, computed per pixel.
-            for ox in 0..ox_lo {
-                let (kx_lo, kx_hi) = kernel_range(ox, k, s, pad, iw);
-                px(ox, kx_lo, kx_hi);
-            }
-            // Interior: the full kx window is in bounds, no per-pixel work.
-            for ox in ox_lo..ox_hi {
-                px(ox, 0, k);
-            }
-            // Right border.
-            for ox in ox_hi..ow {
-                let (kx_lo, kx_hi) = kernel_range(ox, k, s, pad, iw);
-                px(ox, kx_lo, kx_hi);
+                for b in 0..live {
+                    let at = (((oc0 + b) * oh + oy) * ow + ox) * L;
+                    for l in 0..L {
+                        out[at + l] = acc[l][b];
+                    }
+                }
             }
         }
     }
@@ -1283,7 +1276,14 @@ fn stage_head_kernel(
             scratch.out.resize(p.out_c as usize * oh * ow, 0.0);
             if !scratch.take_lane_out(op) {
                 let bias = (b_va != 0).then_some(scratch.bias.as_slice());
-                conv2d_blocked::<1>(&scratch.a, &scratch.b, bias, &mut scratch.out, &p);
+                conv2d_blocked::<1, OC_BLOCK>(
+                    &scratch.a,
+                    &scratch.b,
+                    bias,
+                    &mut scratch.out,
+                    &p,
+                    &mut scratch.wblk,
+                );
             }
             Ok(out_va)
         }
@@ -2078,12 +2078,25 @@ mod tests {
         }
     }
 
+    /// Each block width's edge cases for `out_c`: one short of a block,
+    /// one block, one over, and two blocks and one over.
+    fn block_edges() -> std::collections::BTreeSet<u32> {
+        [OC_BLOCK, LANE_OC_BLOCK]
+            .iter()
+            .flat_map(|&b| [b - 1, b, b + 1, 2 * b + 1])
+            .map(|c| c as u32)
+            .collect()
+    }
+
     #[test]
     fn blocked_conv_matches_reference_bitwise() {
         let mut rng = lcg(2);
         // Geometries covering k=1, pad=0, pad>0, stride>1, k=stride,
-        // non-square inputs, and pad up to k-1.
-        let geoms: [(u32, u32, u32, u32, u32, u32, u32); 7] = [
+        // non-square inputs, pad up to k-1 and past k (output pixels
+        // with no in-bounds tap), every block edge of `out_c`
+        // for both block widths, and inputs of at most k+1 per side,
+        // where every output pixel touches the border.
+        let geoms: [(u32, u32, u32, u32, u32, u32, u32); 17] = [
             (1, 5, 5, 1, 3, 1, 1),
             (3, 8, 8, 4, 3, 1, 0),
             (2, 9, 7, 3, 3, 2, 1),
@@ -2091,7 +2104,19 @@ mod tests {
             (1, 4, 4, 2, 4, 4, 0),
             (3, 7, 7, 5, 1, 1, 0),
             (2, 6, 6, 3, 3, 3, 2),
+            (3, 5, 6, 9, 3, 1, 1),
+            (2, 7, 5, 15, 3, 2, 1),
+            (5, 6, 6, 16, 3, 1, 1),
+            (2, 4, 4, 17, 3, 1, 1),
+            (3, 3, 2, 33, 3, 1, 1),
+            (4, 6, 6, 15, 5, 1, 2),
+            (2, 2, 2, 9, 1, 1, 0),
+            (3, 3, 3, 17, 3, 2, 1),
+            (3, 4, 5, 7, 3, 1, 1),
+            (2, 2, 2, 9, 1, 2, 2),
         ];
+        let mut seen_out_c = std::collections::BTreeSet::new();
+        let mut border_only = 0;
         for &(in_c, in_h, in_w, out_c, k, stride, pad) in &geoms {
             let p = ConvParams {
                 in_c,
@@ -2102,12 +2127,15 @@ mod tests {
                 stride,
                 pad,
             };
+            seen_out_c.insert(out_c);
+            border_only += usize::from(in_h <= k + 1 && in_w <= k + 1);
             let input = fill((in_c * in_h * in_w) as usize, &mut rng);
             let weights = fill((out_c * in_c * k * k) as usize, &mut rng);
             let bias = fill(out_c as usize, &mut rng);
             let out_len = (out_c * p.out_h() * p.out_w()) as usize;
+            let mut wblk = Vec::new();
             let mut fast = vec![0.0; out_len];
-            conv2d_blocked::<1>(&input, &weights, Some(&bias), &mut fast, &p);
+            conv2d_blocked::<1, OC_BLOCK>(&input, &weights, Some(&bias), &mut fast, &p, &mut wblk);
             assert_eq!(
                 bits(&fast),
                 bits(&reference::conv2d(&input, &weights, &bias, &p)),
@@ -2123,7 +2151,14 @@ mod tests {
                 }
             }
             let mut lanes_out = vec![0.0; out_len * LANES];
-            conv2d_blocked::<LANES>(&lane_in, &weights, Some(&bias), &mut lanes_out, &p);
+            conv2d_blocked::<LANES, LANE_OC_BLOCK>(
+                &lane_in,
+                &weights,
+                Some(&bias),
+                &mut lanes_out,
+                &p,
+                &mut wblk,
+            );
             for (l, x) in inputs.iter().enumerate() {
                 let got: Vec<f32> = lane(&lanes_out, l).copied().collect();
                 assert_eq!(
@@ -2133,6 +2168,11 @@ mod tests {
                 );
             }
         }
+        assert!(
+            block_edges().is_subset(&seen_out_c),
+            "every block edge of out_c ran: {seen_out_c:?}"
+        );
+        assert!(border_only >= 3, "border-only shapes ran");
     }
 
     /// A lane whose weight or bias bytes differ from the leading lane's

@@ -263,7 +263,7 @@ struct DeviceWorker {
     provenance: Option<Rc<ProvenanceRecord>>,
     /// Canonical lint-report JSON of the staged model, cached for
     /// receipt-chain verification (its digest is covered by provenance).
-    lint_json: Option<String>,
+    lint_json: Option<Rc<str>>,
     /// Crash/latency health; gates whether the scheduler dispatches here.
     health: DeviceHealth,
     /// Monotone generation counter for the event-indexed heap: a heap
@@ -1080,7 +1080,7 @@ fn measure_profile(
     verify_chain(
         &receipt,
         &fetch.provenance,
-        &fetch.lint.to_json(),
+        &fetch.lint_json,
         PROVISIONING_SECRET,
     )
     .expect("probe receipt chains to registry provenance");
@@ -1263,7 +1263,7 @@ fn serve_batch(
     // its receipts chain to, and (on a switch) the load count.
     if let Some(fetch) = fetch {
         worker.provenance = Some(fetch.provenance);
-        worker.lint_json = Some(fetch.lint.to_json());
+        worker.lint_json = Some(fetch.lint_json);
         worker.loaded_model = Some(head.model);
         worker.loads += u64::from(switch);
     }

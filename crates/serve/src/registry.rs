@@ -131,19 +131,21 @@ impl RegistryStats {
     }
 }
 
-/// Everything a cold-start record run produces for one cache insert:
-/// the signed recording, its weight-slot count, the lint verdict, the
-/// signed provenance record, and the virtual time the run took.
-type ColdRecord = (
-    Rc<SignedRecording>,
-    usize,
-    Rc<LintReport>,
-    Rc<ProvenanceRecord>,
-    SimTime,
-);
+/// What insert-time vetting produces for one entry, handed out with
+/// every fetch of it.
+#[derive(Clone)]
+struct Vetted {
+    weight_slots: usize,
+    lint: Rc<LintReport>,
+    /// `lint` serialized once: the provenance record's lint digest is
+    /// taken over these bytes, and fleet devices chain receipts to them.
+    lint_json: Rc<str>,
+    provenance: Rc<ProvenanceRecord>,
+}
 
-/// What insert-time vetting produces for one entry.
-type Vetted = (usize, Rc<LintReport>, Rc<ProvenanceRecord>);
+/// Everything a cold-start record run produces for one cache insert: the
+/// signed recording, its vetting, and the virtual time the run took.
+type ColdRecord = (Rc<SignedRecording>, Vetted, SimTime);
 
 /// What a fetch returned.
 #[derive(Debug, Clone)]
@@ -156,6 +158,9 @@ pub struct FetchOutcome {
     /// static analysis (always `passed()` — failing recordings never
     /// enter the cache).
     pub lint: Rc<LintReport>,
+    /// `lint` as JSON, serialized once at insert: the bytes the
+    /// provenance record's lint digest covers.
+    pub lint_json: Rc<str>,
     /// The signed provenance record built (or accepted) at insert; fleet
     /// devices chain their replay receipts to it.
     pub provenance: Rc<ProvenanceRecord>,
@@ -177,20 +182,23 @@ impl FetchOutcome {
 struct Entry {
     key: (String, u32),
     recording: Rc<SignedRecording>,
-    weight_slots: usize,
-    /// Insert-time lint report, handed out with every fetch.
-    lint: Rc<LintReport>,
-    /// Insert-time signed provenance record, handed out with every fetch.
-    provenance: Rc<ProvenanceRecord>,
+    /// Insert-time lint verdict and provenance, handed out with every
+    /// fetch.
+    vetted: Vetted,
     last_used: u64,
 }
 
-impl Entry {
-    fn outcome(&self, cold_start_delay: Option<SimTime>) -> FetchOutcome {
+impl Vetted {
+    fn outcome(
+        &self,
+        recording: &Rc<SignedRecording>,
+        cold_start_delay: Option<SimTime>,
+    ) -> FetchOutcome {
         FetchOutcome {
-            recording: Rc::clone(&self.recording),
+            recording: Rc::clone(recording),
             weight_slots: self.weight_slots,
             lint: Rc::clone(&self.lint),
+            lint_json: Rc::clone(&self.lint_json),
             provenance: Rc::clone(&self.provenance),
             cold_start_delay,
         }
@@ -218,14 +226,7 @@ impl Shard {
         }
     }
 
-    fn insert(
-        &mut self,
-        key: (String, u32),
-        recording: Rc<SignedRecording>,
-        weight_slots: usize,
-        lint: Rc<LintReport>,
-        provenance: Rc<ProvenanceRecord>,
-    ) {
+    fn insert(&mut self, key: (String, u32), recording: Rc<SignedRecording>, vetted: Vetted) {
         if self.entries.len() >= self.capacity {
             // Evict the shard's least-recently-used entry (deterministic:
             // ticks are unique within a shard).
@@ -242,9 +243,7 @@ impl Shard {
         self.entries.push(Entry {
             key,
             recording,
-            weight_slots,
-            lint,
-            provenance,
+            vetted,
             last_used: self.tick,
         });
     }
@@ -323,30 +322,19 @@ impl RecordingRegistry {
         if let Some(e) = shard.entries.iter_mut().find(|e| e.key == key) {
             e.last_used = shard.tick;
             shard.stats.hits += 1;
-            return Ok(e.outcome(None));
+            return Ok(e.vetted.outcome(&e.recording, None));
         }
         shard.stats.misses += 1;
-        let (recording, weight_slots, lint, provenance, delay) = record_cold(
+        let (recording, vetted, delay) = record_cold(
             &self.cfg,
             &mut shard.stats,
             &mut shard.record_time,
             spec,
             sku,
         )?;
-        shard.insert(
-            key,
-            Rc::clone(&recording),
-            weight_slots,
-            Rc::clone(&lint),
-            Rc::clone(&provenance),
-        );
-        Ok(FetchOutcome {
-            recording,
-            weight_slots,
-            lint,
-            provenance,
-            cold_start_delay: Some(delay),
-        })
+        let fetch = vetted.outcome(&recording, Some(delay));
+        shard.insert(key, recording, vetted);
+        Ok(fetch)
     }
 
     /// Pre-populates the `(spec, sku)` entry without counting a hit or a
@@ -361,7 +349,7 @@ impl RecordingRegistry {
             return Ok(());
         }
         let mut warm_stats = shard.stats;
-        let (recording, weight_slots, lint, provenance, _) = record_cold(
+        let (recording, vetted, _) = record_cold(
             &self.cfg,
             &mut warm_stats,
             &mut shard.record_time,
@@ -369,7 +357,7 @@ impl RecordingRegistry {
             sku,
         )?;
         shard.stats = warm_stats;
-        shard.insert(key, recording, weight_slots, lint, provenance);
+        shard.insert(key, recording, vetted);
         Ok(())
     }
 
@@ -440,14 +428,18 @@ impl RecordingRegistry {
             shard.stats.provenance_rejections += 1;
             return Err(provenance_err(VerifyError::MissingProvenance));
         };
-        let (weight_slots, lint, _local) = vet(&mut shard.stats, spec, sku, &recording)?;
-        if let Err(e) = check_shipped_provenance(&prov, spec, sku, &recording, &lint) {
+        let vetted = vet(&mut shard.stats, spec, sku, &recording)?;
+        if let Err(e) = check_shipped_provenance(&prov, spec, sku, &recording, &vetted.lint_json) {
             shard.stats.provenance_rejections += 1;
             return Err(provenance_err(e));
         }
         let key = (spec.name.to_owned(), sku.gpu_id);
         shard.entries.retain(|e| e.key != key);
-        shard.insert(key, Rc::new(recording), weight_slots, lint, Rc::new(prov));
+        let vetted = Vetted {
+            provenance: Rc::new(prov),
+            ..vetted
+        };
+        shard.insert(key, Rc::new(recording), vetted);
         Ok(())
     }
 
@@ -464,9 +456,9 @@ impl RecordingRegistry {
                 .map(|e| ExportEntry {
                     workload: e.key.0.clone(),
                     gpu_id: e.key.1,
-                    recording_digest: e.provenance.recording_digest,
-                    lint_json: e.lint.to_json(),
-                    provenance: (*e.provenance).clone(),
+                    recording_digest: e.vetted.provenance.recording_digest,
+                    lint_json: e.vetted.lint_json.to_string(),
+                    provenance: (*e.vetted.provenance).clone(),
                 })
                 .collect(),
         )
@@ -487,17 +479,11 @@ fn record_cold(
         session.attach_faults(plan);
     }
     let out = session.record(spec)?;
-    let (weight_slots, lint, provenance) = vet(stats, spec, sku, &out.recording)?;
+    let vetted = vet(stats, spec, sku, &out.recording)?;
     stats.record_retries += out.link_retries;
     stats.checkpoint_resumes += out.checkpoint_resumes;
     *record_time += out.delay;
-    Ok((
-        Rc::new(out.recording),
-        weight_slots,
-        lint,
-        provenance,
-        out.delay,
-    ))
+    Ok((Rc::new(out.recording), vetted, out.delay))
 }
 
 /// Verify-once-and-lint-once-on-insert: a recording that fails the
@@ -529,16 +515,22 @@ fn vet(
     // Sign the provenance record binding the recording bytes, the SKU,
     // and the lint verdict together; fleet devices chain their replay
     // receipts to it and auditors verify against the registry export.
+    let lint_json: Rc<str> = report.to_json().into();
     let provenance = ProvenanceRecord::build(
         "registry",
         spec.name,
         sku.gpu_id,
         Sha256::digest(&recording.bytes),
-        Sha256::digest(report.to_json().as_bytes()),
+        Sha256::digest(lint_json.as_bytes()),
         PROVISIONING_SECRET,
     );
     stats.provenance_records += 1;
-    Ok((parsed.weights.len(), Rc::new(report), Rc::new(provenance)))
+    Ok(Vetted {
+        weight_slots: parsed.weights.len(),
+        lint: Rc::new(report),
+        lint_json,
+        provenance: Rc::new(provenance),
+    })
 }
 
 /// Maps a provenance verification failure into the registry's typed
@@ -558,7 +550,7 @@ fn check_shipped_provenance(
     spec: &NetworkSpec,
     sku: &GpuSku,
     recording: &SignedRecording,
-    lint: &LintReport,
+    lint_json: &str,
 ) -> Result<(), VerifyError> {
     if !prov.verify(PROVISIONING_SECRET) {
         return Err(VerifyError::ProvenanceSignature);
@@ -577,7 +569,7 @@ fn check_shipped_provenance(
     if prov.recording_digest != Sha256::digest(&recording.bytes) {
         return Err(VerifyError::RecordingDigestMismatch);
     }
-    if prov.lint_digest != Sha256::digest(lint.to_json().as_bytes()) {
+    if prov.lint_digest != Sha256::digest(lint_json.as_bytes()) {
         return Err(VerifyError::LintDigestMismatch);
     }
     Ok(())
@@ -928,6 +920,13 @@ mod tests {
             f.provenance.lint_digest,
             Sha256::digest(f.lint.to_json().as_bytes())
         );
+        // The JSON serialized once at insert is those same bytes, and a
+        // hit hands out that one string, not a fresh serialization.
+        assert_eq!(*f.lint_json, f.lint.to_json());
+        assert!(Rc::ptr_eq(
+            &f.lint_json,
+            &r.fetch(&spec, &sku).unwrap().lint_json
+        ));
         assert_eq!(r.stats().provenance_records, 1);
     }
 

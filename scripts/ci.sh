@@ -58,6 +58,13 @@ cargo test -q
 echo "==> lane-major conv differential, large budget (release)"
 cargo test -q --release --test fastpath lane_major -- --include-ignored
 
+# The conv kernels ship in release, and only there does the vectorizer
+# rewrite their loops: run grt-gpu's bitwise kernel tests in release too
+# (the workspace step below runs them in debug).
+echo "==> conv kernels against the reference, bitwise (release)"
+cargo test -q --release -p grt-gpu --lib -- \
+    blocked_conv_matches_reference_bitwise lane_with_other_weights_matches_its_scalar_run
+
 # Every other crate's unit tests, integration tests (the delta codec's
 # adversarial corpus, the lint gate) and doctests. Tier-1 above already
 # ran the root package's.

@@ -7,7 +7,7 @@
 use grt_gpu::mem::Accessor;
 use grt_gpu::mmu::{map_page, Tlb, Walker};
 use grt_gpu::regs::{gpu_control as gc, job_control as jc, mmu_control as mc};
-use grt_gpu::shader::{execute_program, ExecScratch};
+use grt_gpu::shader::{execute_program, ExecScratch, LANE_OC_BLOCK, OC_BLOCK};
 use grt_gpu::{
     ConvParams, Gpu, GpuSku, IrqLine, JobDescriptor, JobStatus, Memory, PoolKind, ShaderOp,
     PAGE_SIZE,
@@ -358,13 +358,21 @@ fn fast_kernels_bit_identical_on_randomized_geometries() {
 }
 
 // Lane rig: small VA==PA memories with one page-table layout, the way a
-// batch's lanes share one.
+// batch's lanes share one. Each operand's region ends where the next one
+// starts (`LANE_REGIONS`).
 const LANE_IN_VA: u64 = 0x1_0000;
 const LANE_W_VA: u64 = 0x3_0000;
-const LANE_B_VA: u64 = 0x5_0000;
-const LANE_TAIL_VA: u64 = 0x6_0000;
-const LANE_OUT_VA: u64 = 0x8_0000;
+const LANE_B_VA: u64 = 0x6_0000;
+const LANE_TAIL_VA: u64 = 0x6_2000;
+const LANE_OUT_VA: u64 = 0x7_0000;
 const LANE_SHADER_VA: u64 = 0xA_0000;
+const LANE_REGIONS: [(&str, u64, u64); 5] = [
+    ("input", LANE_IN_VA, LANE_W_VA),
+    ("weights", LANE_W_VA, LANE_B_VA),
+    ("bias", LANE_B_VA, LANE_TAIL_VA),
+    ("add operand", LANE_TAIL_VA, LANE_OUT_VA),
+    ("output", LANE_OUT_VA, LANE_SHADER_VA),
+];
 
 /// A 1 MiB memory with `[0x10000, 0xB0000)` identity-mapped, to clone
 /// once per lane.
@@ -442,16 +450,35 @@ fn sprinkle(v: &mut [f32], family: &[f32], seed: u64) {
     }
 }
 
+/// Each conv kernel's block edges for `out_c`: one short of a block of
+/// output channels, one block, one over, and two blocks and one over.
+fn block_edges() -> Vec<u32> {
+    let mut edges: Vec<u32> = [OC_BLOCK, LANE_OC_BLOCK]
+        .iter()
+        .flat_map(|&b| [b - 1, b, b + 1, 2 * b + 1])
+        .map(|c| c as u32)
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
 /// Runs `cases` pinned-seed batched convs through `execute_program` and
 /// checks every lane, bit for bit, against the reference conv (and its
-/// fused tails) applied to that lane alone. Case `i` takes its kernel
-/// size, stride and pad from a 12-way cycle and its tail from a 5-way
-/// cycle (none, relu, add either way round, add+relu); the seed draws the
-/// batch size from {2, 3, 7, 8, 9, 64}, `in_c` from 1..=48, height and
-/// width apart, whether there is a bias, and which special values, if
-/// any, go into the inputs, weights, bias and add operands.
+/// fused tails) applied to that lane alone; the first lane then runs once
+/// more as a job of its own, which takes the scalar kernel. Case `i`
+/// takes its kernel size, stride and pad from a 12-way cycle and its tail
+/// from a 5-way cycle (none, relu, add either way round, add+relu). Even
+/// cases take `out_c` from a cycle over both kernels' block edges, and
+/// cases 4 and 5 of every 6 an input of at most k+1 per side, where every
+/// output pixel touches the border. The seed draws the batch size from
+/// {2, 3, 7, 8, 9, 64}, `in_c` from 1..=48, `out_c` from 1..=6 in odd
+/// cases, height and width apart, whether there is a bias, and which
+/// special values, if any, go into the inputs, weights, bias and add
+/// operands.
 fn check_lane_convs(cases: usize, seed: u64) {
     const BATCHES: [usize; 6] = [2, 3, 7, 8, 9, 64];
+    let edges = block_edges();
     let (template, walker) = lane_template();
     let mut istate = seed;
     let mut pick = move |lo: usize, hi: usize| {
@@ -464,17 +491,26 @@ fn check_lane_convs(cases: usize, seed: u64) {
     let mut scratch = ExecScratch::default();
     let mut seen_batches = std::collections::BTreeSet::new();
     let mut seen_families = std::collections::BTreeSet::new();
+    let mut seen_out_c = std::collections::BTreeSet::new();
+    let mut border_only = 0;
     for case in 0..cases {
         let k = [1u32, 3, 5][case % 3];
+        let span = if case / 2 % 3 == 2 { 1 } else { 8 };
         let p = ConvParams {
             in_c: pick(1, 48) as u32,
-            in_h: pick(k as usize, k as usize + 8) as u32,
-            in_w: pick(k as usize, k as usize + 8) as u32,
-            out_c: pick(1, 6) as u32,
+            in_h: pick(k as usize, k as usize + span) as u32,
+            in_w: pick(k as usize, k as usize + span) as u32,
+            out_c: if case % 2 == 0 {
+                edges[case / 2 % edges.len()]
+            } else {
+                pick(1, 6) as u32
+            },
             k,
             stride: [1, 2][case / 3 % 2],
             pad: [0, 1][case / 6 % 2],
         };
+        seen_out_c.insert(p.out_c);
+        border_only += usize::from(p.in_h <= k + 1 && p.in_w <= k + 1);
         let b = BATCHES[pick(0, BATCHES.len() - 1)];
         let (tail_add, tail_relu, interm_first) = [
             (false, false, false),
@@ -501,6 +537,14 @@ fn check_lane_convs(cases: usize, seed: u64) {
             sprinkle(&mut bias, specials, !seed ^ case as u64);
         }
         sprinkle(&mut weights, specials, seed ^ case as u64);
+        let in_len = (p.in_c * p.in_h * p.in_w) as usize;
+        let lens = [in_len, weights.len(), bias.len(), out_len, out_len];
+        for ((name, lo, hi), len) in LANE_REGIONS.iter().zip(lens) {
+            assert!(
+                len as u64 * 4 <= hi - lo,
+                "{ctx}: {name} overflows its region"
+            );
+        }
         let op = ShaderOp::Conv2d {
             in_va: LANE_IN_VA,
             w_va: LANE_W_VA,
@@ -536,7 +580,7 @@ fn check_lane_convs(cases: usize, seed: u64) {
         let mut lanes = Vec::with_capacity(b);
         let mut want = Vec::with_capacity(b);
         for lane in 0..b {
-            let mut input = fill((p.in_c * p.in_h * p.in_w) as usize, &mut rng);
+            let mut input = fill(in_len, &mut rng);
             let mut other = fill(out_len, &mut rng);
             sprinkle(&mut input, specials, seed ^ (case * 131 + lane) as u64);
             sprinkle(&mut other, specials, !seed ^ (case * 137 + lane) as u64);
@@ -581,9 +625,31 @@ fn check_lane_convs(cases: usize, seed: u64) {
             let got = get_f32s(mem, LANE_OUT_VA, out_len);
             assert_eq!(bits(&got), bits(expect), "{ctx}: lane {lane}");
         }
+
+        let mut alone = lanes.swap_remove(0);
+        put_f32s(&mut alone, LANE_OUT_VA, &vec![0.0; out_len]);
+        execute_program(
+            &mut [&mut alone],
+            &walker,
+            &mut Tlb::new(),
+            &mut scratch,
+            LANE_SHADER_VA,
+            1,
+            TILES,
+            directive.as_ref(),
+            |_, _, r| assert!(r.is_ok(), "{ctx}: {r:?}"),
+        )
+        .unwrap();
+        let got = get_f32s(&alone, LANE_OUT_VA, out_len);
+        assert_eq!(bits(&got), bits(&want[0]), "{ctx}: lane 0 alone");
     }
     assert_eq!(seen_batches.len(), BATCHES.len(), "every batch size ran");
     assert_eq!(seen_families.len(), 3, "every special-value family ran");
+    assert!(
+        edges.iter().all(|c| seen_out_c.contains(c)),
+        "every block edge of out_c ran: {seen_out_c:?}"
+    );
+    assert!(border_only > 0, "a border-only input ran");
 }
 
 /// The lane-major conv against the reference, lane by lane: a small
